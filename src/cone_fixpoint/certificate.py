@@ -206,13 +206,15 @@ def verify_certificate(
     limit_point = AugmentedPoint(x_star, t_star)
 
     failures: list[tuple[int, str]] = []  # (priority, message), earliest index wins
+    # Every predicate below is phrased fail-closed, as "not (passes)", so a
+    # NaN residual or margin can never count as a pass.
 
     # (a) monotone: each step's t increment must dominate the step norm.
     dts = np.diff(ts)
     step_norms = row_norms(np.diff(xs, axis=0)) if n_steps else np.zeros(0)
     monotone_residuals = dts - step_norms
     mono_margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(dts))
-    bad = np.nonzero(monotone_residuals < -mono_margin)[0]
+    bad = np.nonzero(~(monotone_residuals >= -mono_margin))[0]
     if bad.size:
         n = int(bad[0])
         failures.append(
@@ -226,7 +228,7 @@ def verify_certificate(
         resid = gaps - row_norms(w.x - xs)
         witness_residuals.append(resid)
         margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(gaps))
-        bad = np.nonzero(resid < -margin)[0]
+        bad = np.nonzero(~(resid >= -margin))[0]
         if bad.size:
             n = int(bad[0])
             failures.append(
@@ -240,14 +242,14 @@ def verify_certificate(
         [(w.t - t_star) - norm(w.x - x_star) for w in witnesses]
     ) if witnesses else np.zeros(0)
     for i, w in enumerate(witnesses):
-        if lower[i] < -(stop_bound + tol.margin(w.t - t_star)):
+        if not (lower[i] >= -(stop_bound + tol.margin(w.t - t_star))):
             failures.append(
                 (2, f"limit check failed for witness {i} (residual {lower[i]:.6e})")
             )
             break
     fp_residual = norm(evaluate(spec, x_star) - x_star)
     fp_tolerance = lam**n_steps * d + tol.margin(norm(x_star))
-    if fp_residual > fp_tolerance:
+    if not (fp_residual <= fp_tolerance):
         failures.append(
             (2, f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
         )
@@ -262,7 +264,7 @@ def verify_certificate(
         consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
     x_margin = tol.atol + tol.rtol * np.maximum(1.0, row_norms(xs))
     t_margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(ts))
-    bad = np.nonzero((consistency_x > x_margin) | (consistency_t > t_margin))[0]
+    bad = np.nonzero(~((consistency_x <= x_margin) & (consistency_t <= t_margin)))[0]
     if bad.size:
         n = int(bad[0])
         failures.append(

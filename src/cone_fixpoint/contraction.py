@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,6 +143,7 @@ class ScaledRotation(ContractionSpec):
     scale: float
     b: np.ndarray
     lam: float
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("theta", "scale"):
@@ -159,6 +160,10 @@ class ScaledRotation(ContractionSpec):
                 f"|scale| = {abs(self.scale)} exceeds declared lambda = {self.lam}",
                 true_factor=abs(self.scale),
             )
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        matrix = self.scale * np.array([[c, -s], [s, c]])
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def dimension(self) -> int:
@@ -166,14 +171,14 @@ class ScaledRotation(ContractionSpec):
 
     @property
     def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return self.scale * np.array([[c, -s], [s, c]])
+        """scale * R(theta), built once at construction (read-only)."""
+        return self._matrix
 
     def _apply(self, x):
-        return self.matrix @ x + self.b
+        return self._matrix @ x + self.b
 
     def _apply_batch(self, xs):
-        return xs @ self.matrix.T + self.b
+        return xs @ self._matrix.T + self.b
 
     def true_factor(self) -> float:
         return abs(self.scale)

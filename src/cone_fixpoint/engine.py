@@ -43,6 +43,15 @@ def _check_positive(name: str, v: float):
         raise InvalidInputError(f"{name} must be finite and > 0, got {v}")
 
 
+def _check_rule(rule):
+    """Checks shared by the stopping rules: eps (where the rule has one) must
+    be finite and > 0, and the max_iterations guard must be >= 1."""
+    if hasattr(rule, "eps"):
+        _check_positive("eps", rule.eps)
+    if rule.max_iterations < 1:
+        raise InvalidInputError("max_iterations must be >= 1")
+
+
 @dataclass(frozen=True)
 class APriori:
     """Stop at the first n with lam^n d / (1 - lam) <= eps."""
@@ -50,10 +59,7 @@ class APriori:
     eps: float
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
-    def __post_init__(self):
-        _check_positive("eps", self.eps)
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
+    __post_init__ = _check_rule
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,7 @@ class APosteriori:
     eps: float
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
-    def __post_init__(self):
-        _check_positive("eps", self.eps)
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
+    __post_init__ = _check_rule
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,7 @@ class FixedCount:
     def __post_init__(self):
         if self.count < 0:
             raise InvalidInputError("count must be >= 0")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
+        _check_rule(self)
 
 
 StoppingRule = APriori | APosteriori | FixedCount
@@ -93,6 +95,8 @@ class IterationTrace:
     ``xs`` has shape (N+1, m) and ``ts`` shape (N+1,); row n holds the n-th
     iterate.  ``d`` is the first step norm ||x^1 - x^0||, computed once and
     frozen.  ``stop_reason`` is None only for traces reloaded from disk.
+    Construction refuses non-finite values in ``xs`` or ``ts``: this is the
+    one finiteness check of every trace, whether run or reloaded.
     """
 
     spec: ContractionSpec
@@ -111,6 +115,9 @@ class IterationTrace:
             raise InvalidInputError(
                 f"inconsistent trace arrays: xs {xs.shape}, ts {ts.shape}"
             )
+        if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
+            bad = ~(np.isfinite(xs).all(axis=1) & np.isfinite(ts))
+            raise InvalidInputError(f"trace row {int(np.argmax(bad))} has a non-finite value")
         xs.setflags(write=False)
         ts.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -188,10 +195,15 @@ def a_priori_iterations(d: float, lam: float, eps: float) -> int:
 def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     """Run the augmented iteration from x0 under the given stopping rule.
 
-    The first step norm d is computed once and then frozen into the scalar
-    recurrence.  A run that exhausts its ``max_iterations`` guard is
-    returned truncated and flagged MAX_ITERATIONS rather than raising, so
-    the partial trace is never lost.
+    ``spec`` and ``x0`` are validated once, at entry; the loop then works on
+    raw float64 arrays and the finished trace is checked for finiteness as a
+    whole by :class:`IterationTrace`.  The first step norm d is computed once
+    and then frozen into the scalar recurrence.  When the step count N is
+    known in advance (``APriori``, ``FixedCount``) the (N+1, m) and (N+1,)
+    buffers are preallocated and no step norm is computed; ``APosteriori``
+    takes the norm of every step for its stop test.  A run that exhausts its
+    ``max_iterations`` guard is returned truncated and flagged
+    MAX_ITERATIONS rather than raising, so the partial trace is never lost.
     """
     x0 = as_vector(x0)
     if x0.size != spec.dimension:
@@ -230,29 +242,35 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     else:
         raise InvalidInputError(f"unknown stopping rule {rule!r}")
 
-    xs = [x0]
-    ts = [0.0]
+    apply, lam = spec._apply, spec.lam
     x, t = x0, 0.0
-    n = 0
-    while True:
-        if steps is not None and n >= steps:
-            break
-        x_next = x1 if n == 0 else evaluate(spec, x)
-        t = spec.lam * t + d
-        step_norm = norm(x_next - x)
-        x = x_next
-        xs.append(x)
-        ts.append(t)
-        n += 1
-        if steps is None:
-            if (spec.lam / gap) * step_norm <= rule.eps:
+    if steps is not None:
+        xs = np.empty((steps + 1, x0.size))
+        ts = np.empty(steps + 1)
+        xs[0], ts[0] = x0, 0.0
+        for n in range(1, steps + 1):
+            x = apply(x) if n > 1 else x1
+            t = lam * t + d
+            xs[n] = x
+            ts[n] = t
+    else:
+        stop_factor = lam / gap
+        xs, ts = [x0], [0.0]
+        while True:
+            x_next = apply(x) if len(xs) > 1 else x1
+            t = lam * t + d
+            step_norm = norm(x_next - x)
+            x = x_next
+            xs.append(x)
+            ts.append(t)
+            if stop_factor * step_norm <= rule.eps:
                 break
-            if n >= rule.max_iterations:
+            if len(xs) > rule.max_iterations:
                 reason = StopReason.MAX_ITERATIONS
                 break
+        xs, ts = np.vstack(xs), np.asarray(ts)
 
     return IterationTrace(
-        spec=spec, x0=x0, d=d,
-        xs=np.vstack(xs), ts=np.asarray(ts),
+        spec=spec, x0=x0, d=d, xs=xs, ts=ts,
         stop_reason=reason, warnings=warnings,
     )

@@ -35,13 +35,9 @@ from .contraction import (
     evaluate,
 )
 from .engine import IterationTrace
-from .errors import DimensionMismatchError, ProblemFileError
+from .errors import DimensionMismatchError, InvalidInputError, ProblemFileError
 
 RUN_PARAM_KEYS = ("rule", "eps", "max_iterations", "seed")
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def write_text_atomic(path: str, text: str):
@@ -62,20 +58,30 @@ def trace_csv_header(m: int) -> list[str]:
     return ["n"] + [f"x_{i}" for i in range(m)] + ["t", "step_norm", "t_increment", "mono_residual"]
 
 
+def _step_norms(xs: np.ndarray) -> np.ndarray:
+    """||x^n - x^{n-1}|| for n = 1..N, bit for bit what :func:`norm` gives
+    row by row: the same max-abs scaling, and ``vecdot`` runs the same dot
+    kernel as ``np.dot``.  (``row_norms`` sums squares with ``np.sum``,
+    whose pairwise order can differ in the last bit.)"""
+    diffs = np.diff(xs, axis=0)
+    scale = np.max(np.abs(diffs), axis=1)
+    if not np.isfinite(scale).all():
+        raise InvalidInputError("cannot take the norm of a non-finite vector")
+    y = diffs / np.where(scale == 0.0, 1.0, scale)[:, None]
+    return scale * np.sqrt(np.vecdot(y, y))
+
+
 def write_trace_csv(trace: IterationTrace, path: str):
     xs, ts = trace.xs, trace.ts
     m = trace.dimension
+    step_norm = np.concatenate(([0.0], _step_norms(xs)))
+    t_inc = np.concatenate(([0.0], np.diff(ts)))
+    table = np.column_stack(
+        (np.arange(xs.shape[0]), xs, ts, step_norm, t_inc, t_inc - step_norm)
+    )
+    row = "%d," + ",".join(["%.17g"] * (m + 4))
     rows = [",".join(trace_csv_header(m))]
-    for n in range(xs.shape[0]):
-        if n == 0:
-            step_norm = 0.0
-            t_inc = 0.0
-        else:
-            step_norm = norm(xs[n] - xs[n - 1])
-            t_inc = float(ts[n] - ts[n - 1])
-        cells = [str(n)] + [_fmt(v) for v in xs[n]]
-        cells += [_fmt(ts[n]), _fmt(step_norm), _fmt(t_inc), _fmt(t_inc - step_norm)]
-        rows.append(",".join(cells))
+    rows += [row % tuple(cells) for cells in table.tolist()]
     write_text_atomic(path, "\n".join(rows) + "\n")
 
 
@@ -105,12 +111,20 @@ def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
                 continue
             if len(row) != len(header):
                 raise ProblemFileError(f"{path}: malformed row {row!r}")
-            xs.append([float(v) for v in row[1 : 1 + m]])
-            ts.append(float(row[1 + m]))
+            try:
+                xs.append([float(v) for v in row[1 : 1 + m]])
+                ts.append(float(row[1 + m]))
+            except ValueError:
+                raise ProblemFileError(f"{path}: malformed row {row!r}") from None
     if not xs:
         raise ProblemFileError(f"{path}: trace has no rows")
     xs = np.asarray(xs)
     ts = np.asarray(ts)
+    finite = np.isfinite(xs).all(axis=1) & np.isfinite(ts)
+    if not finite.all():
+        raise ProblemFileError(
+            f"{path}: non-finite value in trace row {int(np.argmin(finite))}"
+        )
     if x0 is None:
         x0 = xs[0]
     d = norm(evaluate(spec, np.asarray(x0, dtype=float)) - np.asarray(x0, dtype=float))

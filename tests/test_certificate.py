@@ -5,6 +5,7 @@ from cone_fixpoint import (
     Affine,
     APriori,
     AugmentedPoint,
+    ConeFixpointError,
     Constant,
     FixedCount,
     InvalidWitnessError,
@@ -188,6 +189,25 @@ class TestVerifyCertificate:
         cert = verify_certificate(_rebuild(affine_trace, xs=xs))
         assert not cert.passed
         assert "consistency" in cert.first_failure and "point 0" in cert.first_failure
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["xs", "ts"])
+    def test_poisoned_trace_never_passes(self, array, value):
+        # a non-finite value written into a trace after construction (which
+        # would have refused it) must fail every verification, wherever it is
+        for k in range(5):
+            trace = run(AFFINE, [0.0], FixedCount(4))
+            target = getattr(trace, array)
+            target.setflags(write=True)
+            target[(k, 0) if array == "xs" else k] = value
+            try:
+                cert = verify_certificate(trace, [AugmentedPoint([0.0], 4.0)])
+            except ConeFixpointError:
+                continue  # refused outright: first/last point are re-validated
+            assert not cert.passed, (array, k, value)
+            if 0 < k < 4:
+                assert cert.first_failure is not None
 
     def test_strict_policy_on_clean_integers(self):
         # constant map yields an exactly-representable trace

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from cone_fixpoint import Affine, APriori, FixedCount, builtin_catalog, norm, run
 from cone_fixpoint.cli import main
+from cone_fixpoint.traceio import trace_csv_header, write_trace_csv
 
 
 def read_csv(path):
@@ -101,6 +103,22 @@ class TestCertify:
         assert doc["verdict"] == "fail"
         assert "step 0" in doc["first_failure"]
         assert "first_failure" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["x", "t"])
+    def test_verify_non_finite_cell_is_refused(self, in_tmp, capsys, column, value):
+        main(["solve", "--builtin", "ROTATION_2D", "--eps", "1e-6", "--out", "trace.csv"])
+        lines = (in_tmp / "trace.csv").read_text().splitlines()
+        row = (len(lines) - 1) // 2
+        cells = lines[1 + row].split(",")
+        cells[1 if column == "x" else 3] = value  # x_0 or t (m = 2)
+        lines[1 + row] = ",".join(cells)
+        (in_tmp / "trace.csv").write_text("\n".join(lines) + "\n")
+        code = main(["certify", "--builtin", "ROTATION_2D", "--verify", "trace.csv",
+                     "--out", "cert.json"])
+        assert code == 2
+        assert not (in_tmp / "cert.json").exists()
+        assert f"trace row {row}" in capsys.readouterr().err
 
     def test_full_flag(self, in_tmp):
         main(["certify", "--builtin", "AFFINE_1D", "--full", "--out", "cert.json"])
@@ -236,3 +254,50 @@ class TestUsage:
         assert main(["omega", "--builtin", "AFFINE_1D", "--x", "0", "--t", "3.6"]) == 0
         monkeypatch.delenv("CONE_FIXPOINT_TOL")
         assert main(["omega", "--builtin", "AFFINE_1D", "--x", "0", "--t", "3.6"]) == 1
+
+
+def _reference_trace_csv(trace) -> str:
+    """The per-row trace writer that the vectorized one replaced, kept as the
+    oracle for byte-identical output."""
+    xs, ts = trace.xs, trace.ts
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    rows = [",".join(trace_csv_header(trace.dimension))]
+    for n in range(xs.shape[0]):
+        if n == 0:
+            step_norm = 0.0
+            t_inc = 0.0
+        else:
+            step_norm = norm(xs[n] - xs[n - 1])
+            t_inc = float(ts[n] - ts[n - 1])
+        cells = [str(n)] + [fmt(v) for v in xs[n]]
+        cells += [fmt(ts[n]), fmt(step_norm), fmt(t_inc), fmt(t_inc - step_norm)]
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+def _random_affine(m, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m, m))
+    lam = 0.9
+    a = raw * (lam / np.linalg.svd(raw, compute_uv=False)[0])
+    return Affine(a=a, b=rng.standard_normal(m), lam=lam), 10.0 * rng.standard_normal(m)
+
+
+class TestTraceWriterBytes:
+    @pytest.mark.parametrize("p", builtin_catalog(), ids=lambda p: p.name)
+    def test_builtins(self, tmp_path, p):
+        for rule in (APriori(1e-10), FixedCount(3)):
+            trace = run(p.spec, p.x0, rule)
+            write_trace_csv(trace, str(tmp_path / "t.csv"))
+            assert (tmp_path / "t.csv").read_bytes() == _reference_trace_csv(trace).encode()
+
+    @pytest.mark.parametrize("m", [2, 3, 50])
+    def test_affine_maps(self, tmp_path, m):
+        for seed in range(5):
+            spec, x0 = _random_affine(m, seed)
+            trace = run(spec, x0, FixedCount(150))
+            write_trace_csv(trace, str(tmp_path / "t.csv"))
+            assert (tmp_path / "t.csv").read_bytes() == _reference_trace_csv(trace).encode()

@@ -94,6 +94,20 @@ class TestSpecConstruction:
             Affine(a=[[0.5, 0.0], [0.0, 0.5]], b=[1.0], lam=0.5)
 
 
+class TestScaledRotationMatrix:
+    @pytest.mark.parametrize("theta,scale", [(0.3, 0.5), (2.5, -0.45), (-1.0, 0.0)])
+    def test_cached_matrix_matches_formula(self, theta, scale):
+        spec = rotation_spec(theta=theta, scale=scale)
+        c, s = math.cos(theta), math.sin(theta)
+        expected = scale * np.array([[c, -s], [s, c]])
+        assert spec.matrix.tobytes() == expected.tobytes()
+        assert spec.matrix is spec.matrix
+        assert not spec.matrix.flags.writeable
+
+    def test_matrix_not_in_repr(self):
+        assert "_matrix" not in repr(rotation_spec())
+
+
 class TestSpectralNorm:
     def test_diagonal(self):
         assert spectral_norm([[0.5, 0.0], [0.0, 0.25]]) == pytest.approx(0.5, rel=1e-12)

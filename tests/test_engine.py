@@ -9,13 +9,20 @@ from cone_fixpoint import (
     Constant,
     FixedCount,
     InvalidInputError,
+    IterationTrace,
+    ScaledRotation,
     StopReason,
     a_priori_iterations,
+    as_vector,
     augmented_step,
     builtin,
+    builtin_catalog,
+    evaluate,
+    norm,
     run,
     t_closed_form,
 )
+from test_acceptance import random_affine_instances
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
 
@@ -176,6 +183,34 @@ class TestRun:
         with pytest.raises(InvalidInputError):
             FixedCount(-1)
 
+    def test_rule_validation_messages(self):
+        for cls in (APriori, APosteriori):
+            with pytest.raises(InvalidInputError, match=r"^eps must be finite and > 0, got nan$"):
+                cls(eps=float("nan"))
+            with pytest.raises(InvalidInputError, match=r"^max_iterations must be >= 1$"):
+                cls(eps=1e-6, max_iterations=0)
+        with pytest.raises(InvalidInputError, match=r"^count must be >= 0$"):
+            FixedCount(-1, max_iterations=0)
+        with pytest.raises(InvalidInputError, match=r"^max_iterations must be >= 1$"):
+            FixedCount(3, max_iterations=0)
+
+    def test_trace_refuses_non_finite_values(self):
+        xs = np.array([[0.0], [1.0], [1.5]])
+        ts = np.array([0.0, 1.0, 1.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = xs.copy()
+            poisoned[1, 0] = bad
+            with pytest.raises(InvalidInputError, match="trace row 1"):
+                IterationTrace(AFFINE, [0.0], 1.0, poisoned, ts, None)
+            poisoned = ts.copy()
+            poisoned[2] = bad
+            with pytest.raises(InvalidInputError, match="trace row 2"):
+                IterationTrace(AFFINE, [0.0], 1.0, xs, poisoned, None)
+
+    def test_trace_arrays_are_read_only(self):
+        trace = run(AFFINE, [0.0], FixedCount(3))
+        assert not trace.xs.flags.writeable and not trace.ts.flags.writeable
+
     def test_points_view(self):
         trace = run(AFFINE, [0.0], FixedCount(2))
         pts = trace.points
@@ -201,3 +236,90 @@ class TestErrorBoundSoundness:
         for p in builtin_catalog():
             trace = run(p.spec, p.x0, rule_cls(eps))
             assert np.linalg.norm(trace.final.x - p.reference) <= eps, p.name
+
+
+def _reference_run(spec, x0, rule):
+    """The list-based loop the engine used before its hot path was cut down:
+    ``evaluate`` (with its per-step validation) and a step ``norm`` on every
+    step, rows appended to lists and stacked at the end.  Kept as the oracle
+    that pins the fast loop to the same bits."""
+    x0 = as_vector(x0)
+    x1 = evaluate(spec, x0)
+    d = norm(x1 - x0)
+    if d == 0.0:
+        return x0[None, :].copy(), np.zeros(1), 0.0, StopReason.EXACT_FIXED_POINT
+    gap = 1.0 - spec.lam
+    if isinstance(rule, APriori):
+        target = a_priori_iterations(d, spec.lam, rule.eps)
+        steps = min(target, rule.max_iterations)
+        reason = StopReason.A_PRIORI if target <= rule.max_iterations else StopReason.MAX_ITERATIONS
+    elif isinstance(rule, FixedCount):
+        steps = min(rule.count, rule.max_iterations)
+        reason = StopReason.FIXED_COUNT if rule.count <= rule.max_iterations else StopReason.MAX_ITERATIONS
+    else:
+        steps = None
+        reason = StopReason.A_POSTERIORI
+    xs, ts = [x0], [0.0]
+    x, t, n = x0, 0.0, 0
+    while True:
+        if steps is not None and n >= steps:
+            break
+        x_next = x1 if n == 0 else evaluate(spec, x)
+        t = spec.lam * t + d
+        step_norm = norm(x_next - x)
+        x = x_next
+        xs.append(x)
+        ts.append(t)
+        n += 1
+        if steps is None:
+            if (spec.lam / gap) * step_norm <= rule.eps:
+                break
+            if n >= rule.max_iterations:
+                reason = StopReason.MAX_ITERATIONS
+                break
+    return np.vstack(xs), np.asarray(ts), d, reason
+
+
+def _assert_same_as_reference(spec, x0, rule):
+    trace = run(spec, x0, rule)
+    xs, ts, d, reason = _reference_run(spec, x0, rule)
+    assert trace.xs.shape == xs.shape
+    assert trace.xs.tobytes() == xs.tobytes()
+    assert trace.ts.tobytes() == ts.tobytes()
+    assert trace.d == d
+    assert trace.n_steps == xs.shape[0] - 1
+    assert trace.stop_reason is reason
+
+
+RULES = [
+    APriori(1e-10),
+    APosteriori(1e-10),
+    FixedCount(200),
+    APriori(1e-10, max_iterations=7),
+    APosteriori(1e-10, max_iterations=7),
+    FixedCount(200, max_iterations=7),
+    FixedCount(0),
+]
+
+
+def _rule_id(rule):
+    return "-".join([type(rule).__name__] + [str(v) for v in vars(rule).values()])
+
+
+class TestSameBitsAsListLoop:
+    @pytest.mark.parametrize("rule", RULES, ids=_rule_id)
+    @pytest.mark.parametrize("name", [p.name for p in builtin_catalog()])
+    def test_builtins(self, name, rule):
+        p = builtin(name)
+        _assert_same_as_reference(p.spec, p.x0, rule)
+
+    @pytest.mark.parametrize("rule", [APriori(1e-10), APosteriori(1e-10), FixedCount(60)], ids=_rule_id)
+    def test_random_affine_maps(self, rule):
+        for _, spec, x0 in random_affine_instances():
+            _assert_same_as_reference(spec, x0, rule)
+
+    @pytest.mark.parametrize("scale", [0.9, -0.9, 0.37, -0.37])
+    def test_rotations_both_signs(self, scale):
+        spec = ScaledRotation(theta=1.234, scale=scale, b=[0.3, -2.0], lam=0.95)
+        for rule in (APriori(1e-12), APosteriori(1e-12), FixedCount(300)):
+            _assert_same_as_reference(spec, [5.0, -7.5], rule)

@@ -84,6 +84,26 @@ class TestTraceCsv:
         with pytest.raises(ProblemFileError):
             read_trace_csv(str(path), AFFINE)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("column", [1, 2])  # x_0, t
+    def test_non_finite_cell_names_row(self, tmp_path, column, value):
+        path = tmp_path / "t.csv"
+        write_trace_csv(run(AFFINE, [0.0], FixedCount(4)), str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")  # row n = 2
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProblemFileError, match="trace row 2"):
+            read_trace_csv(str(path), AFFINE, x0=[0.0])
+
+    def test_unparsable_cell_is_problem_file_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace_csv(run(AFFINE, [0.0], FixedCount(2)), str(path))
+        path.write_text(path.read_text().replace("1.5,", "one-and-a-half,", 1))
+        with pytest.raises(ProblemFileError, match="malformed row"):
+            read_trace_csv(str(path), AFFINE, x0=[0.0])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
