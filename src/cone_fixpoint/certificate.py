@@ -23,12 +23,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import AugmentedPoint, TolerancePolicy, as_vector, norm, row_norms
+from .cone import (
+    NON_FINITE_NORM,
+    PAIRWISE_SUM_MIN_COLUMNS,
+    AugmentedPoint,
+    TolerancePolicy,
+    as_vector,
+    norm,
+    norm_each_row,
+    row_norms,
+)
 from .contraction import ContractionSpec, evaluate, evaluate_batch
-from .engine import IterationTrace
+from .engine import IterationTrace, refuse_non_finite_rows
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessError
 
 DEFAULT_WITNESS_SAMPLES = 32
+
+# The bounded check fills its (witnesses, points) residual matrix in blocks
+# of at most this many elements (at least one witness per block); from
+# PAIRWISE_SUM_MIN_COLUMNS columns on, a block is one witness.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,18 @@ def omega_bounds(om: OmegaSpec, x) -> tuple[float, float]:
     return drift, (om.d + residual) / (1.0 - om.spec.lam)
 
 
+def _omega_bounds_rows(om: OmegaSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`omega_bounds` at each row of the (k, m) array ``xs``, bit for
+    bit, with NaN where :func:`norm` would raise.  The map is applied point
+    by point, as :func:`evaluate` does, so no row depends on a batched
+    product's rounding."""
+    apply = om.spec._apply
+    fxs = np.array([apply(x) for x in xs], dtype=float).reshape(xs.shape)
+    drift = norm_each_row(xs - om.x0)
+    residual = norm_each_row(fxs - xs)
+    return drift, (om.d + residual) / (1.0 - om.spec.lam)
+
+
 def omega_t_floor(om: OmegaSpec, x) -> float:
     """Smallest t for which (x, t) belongs to the bounding set."""
     b1, b2 = omega_bounds(om, x)
@@ -110,23 +136,32 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     floor at x plus a nonnegative offset, so every sample is a member by
     construction (no rejection; the second bound can push t arbitrarily
     high, which would make rejection sampling unboundedly wasteful).
+    The draws are taken sample by sample (direction, radius, offset); the
+    points and their floors are then computed for all samples at once, bit
+    for bit what :func:`norm` and :func:`omega_t_floor` give at each.
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     rng = np.random.default_rng(seed)
     m = om.x0.size
     radius = 10.0 * max(1.0, om.t_star)
-    out = []
-    for _ in range(count):
+    us = np.empty((count, m))
+    radii = np.empty(count)
+    offsets = np.empty(count)
+    for k in range(count):
         u = rng.standard_normal(m)
-        nu = norm(u)
-        while nu == 0.0:
+        while not u.any():  # norm(u) == 0.0
             u = rng.standard_normal(m)
-            nu = norm(u)
-        x = om.x0 + (rng.uniform(0.0, radius) / nu) * u
-        t = omega_t_floor(om, x) + rng.uniform(0.0, 5.0)
-        out.append(AugmentedPoint(x, t))
-    return out
+        us[k] = u
+        radii[k] = rng.uniform(0.0, radius)
+        offsets[k] = rng.uniform(0.0, 5.0)
+    xs = om.x0 + (radii / norm_each_row(us))[:, None] * us
+    if not np.isfinite(xs).all():
+        raise InvalidInputError("vector coordinates must be finite")
+    floors = np.maximum(*_omega_bounds_rows(om, xs))
+    if np.isnan(floors).any():
+        raise InvalidInputError(NON_FINITE_NORM)
+    return [AugmentedPoint(x, t) for x, t in zip(xs, (floors + offsets).tolist())]
 
 
 def default_witnesses(om: OmegaSpec, count: int = DEFAULT_WITNESS_SAMPLES, seed: int = 0):
@@ -164,6 +199,36 @@ class ConvergenceCertificate:
     first_failure: str | None
 
 
+def _refuse_non_members(
+    om: OmegaSpec, witnesses: tuple[AugmentedPoint, ...], tol: TolerancePolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check every witness for membership in one array pass and return their
+    stacked x (W, m) and t (W,).
+
+    The error raised is the one the per-witness definition meets first:
+    a dimension mismatch, a non-finite norm inside :func:`omega_bounds`, or
+    a non-member (:class:`InvalidWitnessError` with its index).
+    """
+    m = om.spec.dimension
+    k = next((i for i, w in enumerate(witnesses) if w.dimension != m), len(witnesses))
+    wx = np.array([w.x for w in witnesses[:k]]).reshape(k, m)
+    wt = np.array([w.t for w in witnesses[:k]], dtype=float)
+    drift, residual = _omega_bounds_rows(om, wx)
+    margin = tol.margin(wt)
+    raised = np.isnan(drift) | np.isnan(residual)
+    bad = raised | ~((wt - drift >= -margin) & (wt - residual >= -margin))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if raised[i]:
+            raise InvalidInputError(NON_FINITE_NORM)
+        raise InvalidWitnessError(f"witness {i} is not a member of the bounding set", index=i)
+    if k < len(witnesses):
+        raise DimensionMismatchError(
+            f"witness {k} has dimension {witnesses[k].dimension}, expected {m}"
+        )
+    return wx, wt
+
+
 def verify_certificate(
     trace: IterationTrace,
     witnesses: list[AugmentedPoint] | None = None,
@@ -177,28 +242,27 @@ def verify_certificate(
     When ``witnesses`` is None the default set (canonical + sampled) is
     used.  Witnesses are first checked for membership in the bounding set;
     a non-member raises :class:`InvalidWitnessError` with its index, since
-    bounds obtained from a non-member certify nothing.
+    bounds obtained from a non-member certify nothing.  A trace holding a
+    non-finite value (its arrays written to after construction) is refused
+    with :class:`InvalidInputError` naming the row.
+
+    Each check runs on whole arrays; every residual and verdict is bit for
+    bit what the per-witness, per-step definition in the module docstring
+    gives.
     """
     if tol is None:
         tol = TolerancePolicy.default()
     om = OmegaSpec.from_trace(trace)
     spec, x0, d, lam = om.spec, om.x0, om.d, om.spec.lam
+    xs, ts = trace.xs, trace.ts
+    refuse_non_finite_rows(xs, ts)
 
     if witnesses is None:
         witnesses = default_witnesses(om, omega_sample_count, seed)
     witnesses = tuple(witnesses)
-    for i, w in enumerate(witnesses):
-        if w.dimension != spec.dimension:
-            raise DimensionMismatchError(
-                f"witness {i} has dimension {w.dimension}, expected {spec.dimension}"
-            )
-        if not omega_contains(om, w, tol):
-            raise InvalidWitnessError(
-                f"witness {i} is not a member of the bounding set", index=i
-            )
+    wx, wt = _refuse_non_members(om, witnesses, tol)
 
-    xs, ts = trace.xs, trace.ts
-    n_points = xs.shape[0]
+    n_points, m = xs.shape
     n_steps = n_points - 1
     t_star = om.t_star
     stop_bound = lam**n_steps * t_star
@@ -213,40 +277,56 @@ def verify_certificate(
     dts = np.diff(ts)
     step_norms = row_norms(np.diff(xs, axis=0)) if n_steps else np.zeros(0)
     monotone_residuals = dts - step_norms
-    mono_margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(dts))
-    bad = np.nonzero(~(monotone_residuals >= -mono_margin))[0]
+    bad = np.nonzero(~(monotone_residuals >= -tol.margin(dts)))[0]
     if bad.size:
         n = int(bad[0])
         failures.append(
             (0, f"monotone check failed at step {n} (residual {monotone_residuals[n]:.6e})")
         )
 
-    # (b) bounded: every witness dominates every trace point.
-    witness_residuals = []
-    for i, w in enumerate(witnesses):
-        gaps = w.t - ts
-        resid = gaps - row_norms(w.x - xs)
-        witness_residuals.append(resid)
-        margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(gaps))
-        bad = np.nonzero(~(resid >= -margin))[0]
+    # (b) bounded: every witness dominates every trace point.  Row i of the
+    # (W, N+1) residual matrix belongs to witness i; it is filled a block of
+    # witnesses at a time, the differences w.x - x^n laid out so that each
+    # coordinate is contiguous for the narrow-row kernel.
+    residuals = np.empty((len(witnesses), n_points))
+    bounded_failure = None
+    if m < PAIRWISE_SUM_MIN_COLUMNS:
+        block = max(1, BLOCK_ELEMENTS // n_points)
+        xt = np.ascontiguousarray(xs.T)
+
+        def differences(a, b):
+            return np.moveaxis(wx[a:b, :, None] - xt, 1, -1)
+    else:
+        block = 1
+
+        def differences(a, b):
+            return wx[a:b, None, :] - xs
+    for start in range(0, len(witnesses), block):
+        stop = start + block
+        resid = np.subtract(wt[start:stop, None], ts, out=residuals[start:stop])
+        resid -= row_norms(differences(start, stop))
+        if bounded_failure is not None or (resid >= 0.0).all():
+            continue  # a margin is >= 0, so a residual >= 0 passes
+        # the margin lives on the scale of the gap w.t - t^n
+        i, n = np.nonzero(~(resid >= 0.0))
+        gaps = wt[start + i] - ts[n]
+        bad = np.nonzero(~(resid[i, n] >= -tol.margin(gaps)))[0]
         if bad.size:
-            n = int(bad[0])
-            failures.append(
-                (1, f"bounded check failed for witness {i} at step {n} "
-                    f"(residual {resid[n]:.6e})")
-            )
+            i, n = i[bad[0]], n[bad[0]]
+            bounded_failure = (f"bounded check failed for witness {start + i} at step {n} "
+                               f"(residual {resid[i, n]:.6e})")
+    if bounded_failure is not None:
+        failures.append((1, bounded_failure))
 
     # (c) limit: (x*, t*) below every witness, with slack inflated by the
     # certified distance from x^N to the true fixed point, and f(x*) ~ x*.
-    lower = np.array(
-        [(w.t - t_star) - norm(w.x - x_star) for w in witnesses]
-    ) if witnesses else np.zeros(0)
-    for i, w in enumerate(witnesses):
-        if not (lower[i] >= -(stop_bound + tol.margin(w.t - t_star))):
-            failures.append(
-                (2, f"limit check failed for witness {i} (residual {lower[i]:.6e})")
-            )
-            break
+    lower = (wt - t_star) - norm_each_row(wx - x_star)
+    if np.isnan(lower).any():
+        raise InvalidInputError(NON_FINITE_NORM)
+    bad = np.nonzero(~(lower >= -(stop_bound + tol.margin(wt - t_star))))[0]
+    if bad.size:
+        i = int(bad[0])
+        failures.append((2, f"limit check failed for witness {i} (residual {lower[i]:.6e})"))
     fp_residual = norm(evaluate(spec, x_star) - x_star)
     fp_tolerance = lam**n_steps * d + tol.margin(norm(x_star))
     if not (fp_residual <= fp_tolerance):
@@ -262,8 +342,8 @@ def verify_certificate(
     if n_steps:
         consistency_x[1:] = row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
         consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
-    x_margin = tol.atol + tol.rtol * np.maximum(1.0, row_norms(xs))
-    t_margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(ts))
+    x_margin = tol.margin(row_norms(xs))
+    t_margin = tol.margin(ts)
     bad = np.nonzero(~((consistency_x <= x_margin) & (consistency_t <= t_margin)))[0]
     if bad.size:
         n = int(bad[0])
@@ -285,7 +365,7 @@ def verify_certificate(
         stop_bound=stop_bound,
         monotone_residuals=monotone_residuals,
         witnesses=witnesses,
-        witness_residuals=tuple(witness_residuals),
+        witness_residuals=tuple(residuals),
         lower_bound_residuals=lower,
         consistency_x=consistency_x,
         consistency_t=consistency_t,

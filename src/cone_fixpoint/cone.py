@@ -21,6 +21,7 @@ from .errors import DimensionMismatchError, InvalidInputError
 ENV_TOL = "CONE_FIXPOINT_TOL"
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-12
+NON_FINITE_NORM = "cannot take the norm of a non-finite vector"
 
 
 def as_vector(coords) -> np.ndarray:
@@ -41,17 +42,68 @@ def norm(x) -> float:
     if scale == 0.0:
         return 0.0
     if not math.isfinite(scale):
-        raise InvalidInputError("cannot take the norm of a non-finite vector")
+        raise InvalidInputError(NON_FINITE_NORM)
     y = x / scale
     return scale * math.sqrt(float(np.dot(y, y)))
 
 
+# From this many columns on, numpy sums a row with 8-way pairwise
+# summation; below it, a row sum is a plain left-to-right sum.
+PAIRWISE_SUM_MIN_COLUMNS = 8
+
+
 def row_norms(xs: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array, scaled like :func:`norm`."""
+    """Euclidean norm of each row (the last axis) of an array, max-abs scaled.
+
+    The squares of each scaled row are summed in ``np.sum``'s order: a plain
+    left-to-right sum below :data:`PAIRWISE_SUM_MIN_COLUMNS` columns, which
+    is computed here column by column (much faster for narrow rows), and
+    numpy's pairwise sum from that width on.  Neither is the order of the
+    dot product inside :func:`norm`, so a result can differ from
+    :func:`norm` in the last bit at any width; :func:`norm_each_row` is the
+    kernel that matches :func:`norm` bit for bit.
+    """
+    xs = np.asarray(xs, dtype=float)
+    m = xs.shape[-1]
+    if m == 1:
+        # A nonzero scaled entry squares to exactly 1, so the norm is |x|,
+        # except for an infinite entry, which scales to inf / inf.
+        out = np.abs(xs[..., 0])
+        inf = np.isinf(out)
+        if inf.any():
+            x = xs[..., 0][inf]
+            out[inf] = np.abs(x) * np.sqrt((x / np.abs(x)) ** 2)
+        return out
+    if m < PAIRWISE_SUM_MIN_COLUMNS:
+        cols = [xs[..., j] for j in range(m)]
+        scale = np.abs(cols[0])
+        for col in cols[1:]:
+            np.maximum(scale, np.abs(col), out=scale)
+        safe = np.where(scale == 0.0, 1.0, scale)
+        acc = cols[0] / safe
+        np.multiply(acc, acc, out=acc)
+        y = np.empty_like(acc)
+        for col in cols[1:]:
+            np.divide(col, safe, out=y)
+            np.multiply(y, y, out=y)
+            acc += y
+        np.sqrt(acc, out=acc)
+        return np.multiply(scale, acc, out=acc)
+    scale = np.max(np.abs(xs), axis=-1)
+    safe = np.where(scale == 0.0, 1.0, scale)
+    return scale * np.sqrt(np.sum((xs / safe[..., None]) ** 2, axis=-1))
+
+
+def norm_each_row(xs: np.ndarray) -> np.ndarray:
+    """:func:`norm` of each row of a 2-D array, bit for bit: the same max-abs
+    scaling, and ``vecdot`` runs the same dot kernel as ``np.dot``.  Where
+    :func:`norm` would raise, on a row with a non-finite entry, the result
+    is NaN (an infinite entry scales to inf / inf); callers that must refuse
+    such rows test for it."""
     xs = np.asarray(xs, dtype=float)
     scale = np.max(np.abs(xs), axis=1)
-    safe = np.where(scale == 0.0, 1.0, scale)
-    return scale * np.sqrt(np.sum((xs / safe[:, None]) ** 2, axis=1))
+    y = xs / np.where(scale == 0.0, 1.0, scale)[:, None]
+    return scale * np.sqrt(np.vecdot(y, y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +200,19 @@ class TolerancePolicy:
     def exact(cls) -> "TolerancePolicy":
         return cls(strict=True)
 
-    def margin(self, scale: float) -> float:
-        """Allowed slack for a residual living on the given scale."""
+    def margin(self, scale):
+        """Allowed slack for a residual living on the given scale.
+
+        A float gives a float; an array gives the slack of each entry by
+        the same formula.
+        """
+        if isinstance(scale, np.ndarray):
+            # atol + rtol * maximum(1, |scale|), computed in one buffer
+            out = np.abs(scale)
+            np.maximum(out, 1.0, out=out)
+            out *= self.rtol
+            out += self.atol
+            return out
         return self.atol + self.rtol * max(1.0, abs(scale))
 
 

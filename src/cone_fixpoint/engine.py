@@ -88,6 +88,14 @@ class FixedCount:
 StoppingRule = APriori | APosteriori | FixedCount
 
 
+def refuse_non_finite_rows(xs: np.ndarray, ts: np.ndarray):
+    """Raise :class:`InvalidInputError` naming the first trace row that holds
+    a non-finite value in ``xs`` (N+1, m) or ``ts`` (N+1,)."""
+    if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
+        bad = ~(np.isfinite(xs).all(axis=1) & np.isfinite(ts))
+        raise InvalidInputError(f"trace row {int(np.argmax(bad))} has a non-finite value")
+
+
 @dataclass(frozen=True)
 class IterationTrace:
     """The recorded pair sequence (x^n, t^n), n = 0..N.
@@ -115,9 +123,7 @@ class IterationTrace:
             raise InvalidInputError(
                 f"inconsistent trace arrays: xs {xs.shape}, ts {ts.shape}"
             )
-        if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
-            bad = ~(np.isfinite(xs).all(axis=1) & np.isfinite(ts))
-            raise InvalidInputError(f"trace row {int(np.argmax(bad))} has a non-finite value")
+        refuse_non_finite_rows(xs, ts)
         xs.setflags(write=False)
         ts.setflags(write=False)
         object.__setattr__(self, "xs", xs)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .certificate import ConvergenceCertificate
-from .cone import norm
+from .cone import NON_FINITE_NORM, norm, norm_each_row
 from .contraction import (
     Affine,
     Constant,
@@ -58,23 +58,13 @@ def trace_csv_header(m: int) -> list[str]:
     return ["n"] + [f"x_{i}" for i in range(m)] + ["t", "step_norm", "t_increment", "mono_residual"]
 
 
-def _step_norms(xs: np.ndarray) -> np.ndarray:
-    """||x^n - x^{n-1}|| for n = 1..N, bit for bit what :func:`norm` gives
-    row by row: the same max-abs scaling, and ``vecdot`` runs the same dot
-    kernel as ``np.dot``.  (``row_norms`` sums squares with ``np.sum``,
-    whose pairwise order can differ in the last bit.)"""
-    diffs = np.diff(xs, axis=0)
-    scale = np.max(np.abs(diffs), axis=1)
-    if not np.isfinite(scale).all():
-        raise InvalidInputError("cannot take the norm of a non-finite vector")
-    y = diffs / np.where(scale == 0.0, 1.0, scale)[:, None]
-    return scale * np.sqrt(np.vecdot(y, y))
-
-
 def write_trace_csv(trace: IterationTrace, path: str):
     xs, ts = trace.xs, trace.ts
     m = trace.dimension
-    step_norm = np.concatenate(([0.0], _step_norms(xs)))
+    step_norms = norm_each_row(np.diff(xs, axis=0))
+    if np.isnan(step_norms).any():
+        raise InvalidInputError(NON_FINITE_NORM)
+    step_norm = np.concatenate(([0.0], step_norms))
     t_inc = np.concatenate(([0.0], np.diff(ts)))
     table = np.column_stack(
         (np.arange(xs.shape[0]), xs, ts, step_norm, t_inc, t_inc - step_norm)

@@ -1,18 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cone_fixpoint import (
     Affine,
+    APosteriori,
     APriori,
     AugmentedPoint,
-    ConeFixpointError,
     Constant,
+    ConvergenceCertificate,
+    DimensionMismatchError,
     FixedCount,
+    InvalidInputError,
     InvalidWitnessError,
     OmegaSpec,
     TolerancePolicy,
     builtin,
+    builtin_catalog,
     canonical_omega_witness,
+    evaluate,
+    evaluate_batch,
+    norm,
     omega_bounds,
     omega_contains,
     omega_t_floor,
@@ -20,6 +29,8 @@ from cone_fixpoint import (
     sample_omega,
     verify_certificate,
 )
+from cone_fixpoint.cone import norm_each_row, row_norms
+from test_acceptance import random_affine_instances
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
 STRICT = TolerancePolicy.exact()
@@ -104,8 +115,6 @@ class TestSampleOmega:
         assert omega_t_floor(om, p.reference) == pytest.approx(om.t_star, abs=1e-12)
 
     def test_count_validated(self, affine_omega):
-        from cone_fixpoint import InvalidInputError
-
         with pytest.raises(InvalidInputError):
             sample_omega(affine_omega, 0, seed=1)
 
@@ -190,24 +199,19 @@ class TestVerifyCertificate:
         assert not cert.passed
         assert "consistency" in cert.first_failure and "point 0" in cert.first_failure
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("array", ["xs", "ts"])
     def test_poisoned_trace_never_passes(self, array, value):
         # a non-finite value written into a trace after construction (which
-        # would have refused it) must fail every verification, wherever it is
+        # would have refused it) is refused by the verifier the same way,
+        # wherever it is
         for k in range(5):
             trace = run(AFFINE, [0.0], FixedCount(4))
             target = getattr(trace, array)
             target.setflags(write=True)
             target[(k, 0) if array == "xs" else k] = value
-            try:
-                cert = verify_certificate(trace, [AugmentedPoint([0.0], 4.0)])
-            except ConeFixpointError:
-                continue  # refused outright: first/last point are re-validated
-            assert not cert.passed, (array, k, value)
-            if 0 < k < 4:
-                assert cert.first_failure is not None
+            with pytest.raises(InvalidInputError, match=f"trace row {k} has a non-finite value"):
+                verify_certificate(trace, [AugmentedPoint([0.0], 4.0)])
 
     def test_strict_policy_on_clean_integers(self):
         # constant map yields an exactly-representable trace
@@ -259,3 +263,304 @@ def _rebuild(trace, xs=None, ts=None):
         stop_reason=trace.stop_reason,
         warnings=trace.warnings,
     )
+
+
+# --- bit identity with the per-witness verifier --------------------------------
+
+def _reference_row_norms(xs):
+    """The row form every width used before narrow rows went column-wise."""
+    xs = np.asarray(xs, dtype=float)
+    scale = np.max(np.abs(xs), axis=1)
+    safe = np.where(scale == 0.0, 1.0, scale)
+    return scale * np.sqrt(np.sum((xs / safe[:, None]) ** 2, axis=1))
+
+
+def _reference_sample_omega(om, count, seed):
+    """Sampling with the membership floor taken point by point."""
+    if count < 1:
+        raise InvalidInputError("count must be >= 1")
+    rng = np.random.default_rng(seed)
+    m = om.x0.size
+    radius = 10.0 * max(1.0, om.t_star)
+    out = []
+    for _ in range(count):
+        u = rng.standard_normal(m)
+        nu = norm(u)
+        while nu == 0.0:
+            u = rng.standard_normal(m)
+            nu = norm(u)
+        x = om.x0 + (rng.uniform(0.0, radius) / nu) * u
+        t = omega_t_floor(om, x) + rng.uniform(0.0, 5.0)
+        out.append(AugmentedPoint(x, t))
+    return out
+
+
+def _reference_verify(trace, witnesses=None, tol=None, *, omega_sample_count=32, seed=0):
+    """The verifier as it was written per witness: a Python loop over the
+    witnesses for membership, the bounded check and the limit check.  Kept
+    as the oracle that pins the whole-array verifier to the same bits."""
+    if tol is None:
+        tol = TolerancePolicy.default()
+    om = OmegaSpec.from_trace(trace)
+    spec, x0, d, lam = om.spec, om.x0, om.d, om.spec.lam
+
+    if witnesses is None:
+        witnesses = [canonical_omega_witness(om)] + _reference_sample_omega(
+            om, omega_sample_count, seed
+        )
+    witnesses = tuple(witnesses)
+    for i, w in enumerate(witnesses):
+        if w.dimension != spec.dimension:
+            raise DimensionMismatchError(
+                f"witness {i} has dimension {w.dimension}, expected {spec.dimension}"
+            )
+        if not omega_contains(om, w, tol):
+            raise InvalidWitnessError(
+                f"witness {i} is not a member of the bounding set", index=i
+            )
+
+    xs, ts = trace.xs, trace.ts
+    n_points = xs.shape[0]
+    n_steps = n_points - 1
+    t_star = om.t_star
+    stop_bound = lam**n_steps * t_star
+    x_star = xs[-1]
+    limit_point = AugmentedPoint(x_star, t_star)
+
+    failures = []
+    dts = np.diff(ts)
+    step_norms = _reference_row_norms(np.diff(xs, axis=0)) if n_steps else np.zeros(0)
+    monotone_residuals = dts - step_norms
+    mono_margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(dts))
+    bad = np.nonzero(~(monotone_residuals >= -mono_margin))[0]
+    if bad.size:
+        n = int(bad[0])
+        failures.append(
+            (0, f"monotone check failed at step {n} (residual {monotone_residuals[n]:.6e})")
+        )
+
+    witness_residuals = []
+    for i, w in enumerate(witnesses):
+        gaps = w.t - ts
+        resid = gaps - _reference_row_norms(w.x - xs)
+        witness_residuals.append(resid)
+        margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(gaps))
+        bad = np.nonzero(~(resid >= -margin))[0]
+        if bad.size:
+            n = int(bad[0])
+            failures.append(
+                (1, f"bounded check failed for witness {i} at step {n} "
+                    f"(residual {resid[n]:.6e})")
+            )
+
+    lower = np.array(
+        [(w.t - t_star) - norm(w.x - x_star) for w in witnesses]
+    ) if witnesses else np.zeros(0)
+    for i, w in enumerate(witnesses):
+        if not (lower[i] >= -(stop_bound + tol.margin(w.t - t_star))):
+            failures.append(
+                (2, f"limit check failed for witness {i} (residual {lower[i]:.6e})")
+            )
+            break
+    fp_residual = norm(evaluate(spec, x_star) - x_star)
+    fp_tolerance = lam**n_steps * d + tol.margin(norm(x_star))
+    if not (fp_residual <= fp_tolerance):
+        failures.append(
+            (2, f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
+        )
+
+    consistency_x = np.zeros(n_points)
+    consistency_t = np.zeros(n_points)
+    consistency_x[0] = norm(xs[0] - x0)
+    consistency_t[0] = abs(ts[0])
+    if n_steps:
+        consistency_x[1:] = _reference_row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
+        consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
+    x_margin = tol.atol + tol.rtol * np.maximum(1.0, _reference_row_norms(xs))
+    t_margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(ts))
+    bad = np.nonzero(~((consistency_x <= x_margin) & (consistency_t <= t_margin)))[0]
+    if bad.size:
+        n = int(bad[0])
+        failures.append(
+            (3, f"trace consistency failed at point {n} "
+                f"(x echo {consistency_x[n]:.6e}, t echo {consistency_t[n]:.6e})")
+        )
+
+    failures.sort(key=lambda f: f[0])
+    return ConvergenceCertificate(
+        n_steps=n_steps,
+        dimension=trace.dimension,
+        lam=lam,
+        d=d,
+        final_point=trace.final,
+        limit_point=limit_point,
+        stop_bound=stop_bound,
+        monotone_residuals=monotone_residuals,
+        witnesses=witnesses,
+        witness_residuals=tuple(witness_residuals),
+        lower_bound_residuals=lower,
+        consistency_x=consistency_x,
+        consistency_t=consistency_t,
+        fixed_point_residual=fp_residual,
+        fixed_point_tolerance=fp_tolerance,
+        passed=not failures,
+        first_failure=failures[0][1] if failures else None,
+    )
+
+
+def _bits(value):
+    """Exact byte form of a certificate field."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, AugmentedPoint):
+        return ("point", _bits(value.x), _bits(value.t))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, (float, np.floating)):
+        return ("float", np.float64(value).tobytes())
+    return (type(value).__name__, value)
+
+
+def _assert_same_certificate(trace, witnesses=None, **kwargs):
+    got = verify_certificate(trace, witnesses, **kwargs)
+    want = _reference_verify(trace, witnesses, **kwargs)
+    for field in dataclasses.fields(ConvergenceCertificate):
+        assert _bits(getattr(got, field.name)) == _bits(getattr(want, field.name)), field.name
+    return got
+
+
+def _affine(m, seed, lam=0.9, scale=1.0):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m, m))
+    a = raw * (lam / float(np.linalg.svd(raw, compute_uv=False)[0]))
+    return Affine(a=a, b=scale * rng.standard_normal(m), lam=lam), scale * rng.standard_normal(m)
+
+
+WIDTHS = [1, 2, 3, 7, 8, 9, 50]
+
+
+class TestSameBitsAsPerWitnessVerifier:
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    @pytest.mark.parametrize("rule", [APriori(1e-8), APosteriori(1e-8), FixedCount(40)],
+                             ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("name", [p.name for p in builtin_catalog()])
+    def test_builtins(self, name, rule, seed):
+        p = builtin(name)
+        _assert_same_certificate(run(p.spec, p.x0, rule), seed=seed)
+
+    def test_acceptance_suite_affine_maps(self):
+        for i, (_, spec, x0) in enumerate(random_affine_instances()):
+            trace = run(spec, x0, APriori(1e-10))
+            om = OmegaSpec.for_problem(spec, x0)
+            witnesses = sample_omega(om, 32, seed=1000 + i)
+            assert _bits(tuple(witnesses)) == _bits(
+                tuple(_reference_sample_omega(om, 32, seed=1000 + i))
+            )
+            _assert_same_certificate(trace, witnesses)
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_widths_across_the_column_row_boundary(self, m):
+        spec, x0 = _affine(m, seed=m)
+        for rule in (APriori(1e-10), APosteriori(1e-10), FixedCount(3)):
+            for seed in (0, 7):
+                assert _assert_same_certificate(run(spec, x0, rule), seed=seed).passed
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_extreme_scales(self, m, scale):
+        spec, x0 = _affine(m, seed=100 + m, scale=scale)
+        _assert_same_certificate(run(spec, x0, FixedCount(30)), seed=3)
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_trace_row_equal_to_witness(self, m):
+        # a witness at a trace point gives a zero difference row
+        spec, x0 = _affine(m, seed=200 + m)
+        trace = run(spec, x0, FixedCount(25))
+        om = OmegaSpec.for_problem(spec, x0)
+        at_point = AugmentedPoint(trace.xs[7], omega_t_floor(om, trace.xs[7]) + 1.0)
+        witnesses = [canonical_omega_witness(om), at_point] + sample_omega(om, 4, seed=1)
+        cert = _assert_same_certificate(trace, witnesses)
+        assert cert.witness_residuals[1][7] == at_point.t - trace.ts[7]
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_tampered_traces_fail_with_the_same_message(self, m):
+        spec, x0 = _affine(m, seed=300 + m)
+        trace = run(spec, x0, FixedCount(40))
+        xs_shift = trace.xs.copy()
+        xs_shift[12] += 1e-6
+        xs_far = trace.xs.copy()
+        xs_far[-1] += 1e3
+        tampered = [
+            _rebuild(trace, ts=np.where(np.arange(41) == 2, trace.ts - 0.5, trace.ts)),
+            _rebuild(trace, ts=np.where(np.arange(41) >= 20, trace.ts + 1e3, trace.ts)),
+            _rebuild(trace, ts=trace.ts + 1e-6),
+            _rebuild(trace, xs=xs_shift),
+            _rebuild(trace, xs=xs_far),
+        ]
+        messages = set()
+        for bad in tampered:
+            cert = _assert_same_certificate(bad, seed=11)
+            assert not cert.passed
+            messages.add(cert.first_failure.split(" failed")[0])
+        assert {"monotone check", "bounded check", "trace consistency"} <= messages
+
+    @pytest.mark.parametrize("index", [0, 1, 16, 31])
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    def test_non_member_witness_index(self, m, index):
+        spec, x0 = _affine(m, seed=400 + m)
+        trace = run(spec, x0, FixedCount(20))
+        om = OmegaSpec.for_problem(spec, x0)
+        witnesses = [canonical_omega_witness(om)] + sample_omega(om, 32, seed=2)
+        for k in (index, index + 1):  # the first of two non-members is named
+            w = witnesses[k]
+            witnesses[k] = AugmentedPoint(w.x, omega_t_floor(om, w.x) - 1e-3)
+        witnesses[-1] = AugmentedPoint(np.zeros(m + 1), 1.0)  # later dimension mismatch
+        with pytest.raises(InvalidWitnessError) as got:
+            verify_certificate(trace, witnesses)
+        with pytest.raises(InvalidWitnessError) as want:
+            _reference_verify(trace, witnesses)
+        assert got.value.index == want.value.index == index
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_witness_raises_what_the_loop_raises(self):
+        # far.x - x0 overflows, so the loop's norm raises at far, unless a
+        # non-member comes before it
+        trace = run(AFFINE, [-5e307], FixedCount(3))
+        good = AugmentedPoint([-5e307], 1e308)
+        far = AugmentedPoint([1.5e308], 1e308)
+        low = AugmentedPoint([-5e307], 0.0)
+        for check in (verify_certificate, _reference_verify):
+            with pytest.raises(InvalidInputError, match="non-finite vector"):
+                check(trace, [good, far, low])
+            with pytest.raises(InvalidWitnessError) as excinfo:
+                check(trace, [good, low, far])
+            assert excinfo.value.index == 1
+
+    def test_dimension_mismatch_before_any_non_member(self):
+        trace = run(AFFINE, [0.0], FixedCount(5))
+        witnesses = [AugmentedPoint([0.0], 4.0), AugmentedPoint([0.0, 0.0], 9.0),
+                     AugmentedPoint([0.0], 1.0)]
+        with pytest.raises(DimensionMismatchError, match="witness 1 has dimension 2"):
+            verify_certificate(trace, witnesses)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9, 20, 64])
+    def test_row_kernels(self, m):
+        rng = np.random.default_rng(m)
+        for scale in (1.0, 1e150, 1e-150):
+            xs = scale * rng.standard_normal((500, m)) * np.exp(rng.uniform(-30, 30, (500, m)))
+            xs[3] = 0.0
+            xs[4, 0] = -xs[4, 0]
+            assert row_norms(xs).tobytes() == _reference_row_norms(xs).tobytes()
+            blocks = xs.reshape(5, 100, m)
+            assert row_norms(blocks).tobytes() == _reference_row_norms(xs).tobytes()
+            assert norm_each_row(xs).tobytes() == np.array([norm(x) for x in xs]).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 2, 9])
+    def test_row_kernels_on_non_finite_rows(self, m):
+        xs = np.ones((6, m))
+        xs[1, 0], xs[2, -1], xs[3, 0], xs[4, -1] = np.inf, np.nan, -np.inf, -np.nan
+        assert row_norms(xs).tobytes() == _reference_row_norms(xs).tobytes()
+        got = norm_each_row(xs)
+        assert np.isnan(got[1:5]).all() and got[0] == got[5] == norm(xs[0])

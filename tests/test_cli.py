@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +302,33 @@ class TestTraceWriterBytes:
             trace = run(spec, x0, FixedCount(150))
             write_trace_csv(trace, str(tmp_path / "t.csv"))
             assert (tmp_path / "t.csv").read_bytes() == _reference_trace_csv(trace).encode()
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_NAMES = ["AFFINE_1D", "CONSTANT", "ROTATION_2D", "KEPLER", "FIXED_START", "NEAR_ONE"]
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_certificate_matches_golden_file(name, in_tmp, monkeypatch, capsys):
+    """``certify --builtin NAME --seed 5`` reproduces its committed
+    certificate byte for byte: ``--full`` for the small builtins, the summary
+    form for NEAR_ONE.  The files pin certificate bytes across changes to the
+    verifier.  A certificate records ``tool_version``, so the files must be
+    rewritten when it changes; from the repository root, with the new
+    version installed or on ``PYTHONPATH=src``:
+
+        for n in AFFINE_1D CONSTANT ROTATION_2D KEPLER FIXED_START; do
+          python -m cone_fixpoint.cli certify --builtin $n --seed 5 --full \\
+            --out tests/data/golden/$n.json; done
+        python -m cone_fixpoint.cli certify --builtin NEAR_ONE --seed 5 \\
+          --out tests/data/golden/NEAR_ONE.json
+
+    Any other difference is a change of the certificate contract.
+    """
+    monkeypatch.delenv("CONE_FIXPOINT_TOL", raising=False)
+    argv = ["certify", "--builtin", name, "--seed", "5", "--out", "cert.json"]
+    if name != "NEAR_ONE":
+        argv.append("--full")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (in_tmp / "cert.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

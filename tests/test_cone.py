@@ -87,6 +87,16 @@ class TestTolerancePolicy:
         assert tol.margin(0.5) == 2e-12
         assert tol.margin(100.0) == pytest.approx(1.01e-10)
 
+    def test_margin_of_an_array(self):
+        # an array gives each entry the float formula's value, bit for bit
+        tol = TolerancePolicy(atol=1e-12, rtol=1e-12)
+        scales = np.array([0.5, 100.0, -3.0, 0.0, -0.0, 1.0, -1e300, 7e-320])
+        got = tol.margin(scales)
+        assert isinstance(got, np.ndarray) and got.shape == scales.shape
+        assert got.tobytes() == np.array([tol.margin(float(s)) for s in scales]).tobytes()
+        assert type(tol.margin(0.5)) is float
+        assert tol.margin(scales[:0]).shape == (0,)
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("CONE_FIXPOINT_TOL", "1e-6")
         tol = TolerancePolicy.default()
