@@ -2,7 +2,9 @@
 
 A declared factor is only useful if it can be checked.  Each family has a
 closed-form true factor; for affine maps it is the spectral norm, computed
-here by power iteration and cross-checked against dense SVD.  A seeded
+here by power iteration and cross-checked against dense SVD.  Power
+iteration estimates the norm from below and refuses clustered spectra, so
+it is not yet a rigorous upper bound (ROADMAP Open item 1).  A seeded
 empirical probe of ||f(u) - f(v)|| / ||u - v|| gives an independent sanity
 bound from below.
 """

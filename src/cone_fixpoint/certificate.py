@@ -142,6 +142,8 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     """
     if count < 1:
         raise InvalidInputError("count must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     m = om.x0.size
     radius = 10.0 * max(1.0, om.t_star)

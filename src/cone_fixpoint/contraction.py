@@ -2,7 +2,10 @@
 
 Only closed families are supported, so the declared factor of every spec
 can be checked against the family's true factor rather than taken on
-faith.  The families:
+faith.  Each family class declares everything else about itself: its
+problem-file ``kind``, its ``file_keys`` and a ``reference_fixed_point``
+computed without Picard iteration; :data:`FAMILIES` maps kinds to classes.
+The families:
 
 * ``Constant``        f(x) = c                   (true factor 0)
 * ``Affine``          f(x) = A x + b             (true factor = spectral norm of A)
@@ -15,6 +18,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .errors import (
     InvalidSpecError,
     NotAContractionError,
     SpectralNormError,
+    UnsupportedInstanceError,
 )
 
 # Slack allowed between a family's measured factor and its declared one.
@@ -38,6 +43,9 @@ _POWER_SEED = 0
 # Radius of the sampling ball used by empirical_lipschitz.
 SAMPLE_RADIUS = 10.0
 
+# Width at which the Kepler reference bisection stops.
+BISECTION_WIDTH = 1e-12
+
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
@@ -50,6 +58,10 @@ class ContractionSpec(abc.ABC):
     """A declared contraction f: R^m -> R^m with factor ``lam`` in (0, 1)."""
 
     lam: float
+    # Problem-file kind and (file key, constructor field) pairs; a class
+    # without a kind has no problem-file form.
+    kind: ClassVar[str | None] = None
+    file_keys: ClassVar[tuple[tuple[str, str], ...]] = ()
 
     @property
     @abc.abstractmethod
@@ -68,6 +80,12 @@ class ContractionSpec(abc.ABC):
     def true_factor(self) -> float:
         """The family's actual Lipschitz factor."""
 
+    def reference_fixed_point(self) -> np.ndarray:
+        """Fixed point of the map, computed without Picard iteration."""
+        raise UnsupportedInstanceError(
+            f"no reference solution available for {type(self).__name__}"
+        )
+
 
 @dataclass(frozen=True)
 class Constant(ContractionSpec):
@@ -75,6 +93,8 @@ class Constant(ContractionSpec):
 
     c: np.ndarray
     lam: float
+    kind = "constant"
+    file_keys = (("c", "c"),)
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_vector(self.c))
@@ -93,6 +113,13 @@ class Constant(ContractionSpec):
     def true_factor(self) -> float:
         return 0.0
 
+    def reference_fixed_point(self) -> np.ndarray:
+        return self.c.copy()
+
+
+def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(np.eye(b.size) - a, b)
+
 
 @dataclass(frozen=True)
 class Affine(ContractionSpec):
@@ -105,6 +132,8 @@ class Affine(ContractionSpec):
     a: np.ndarray
     b: np.ndarray
     lam: float
+    kind = "affine"
+    file_keys = (("A", "a"), ("b", "b"))
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -134,6 +163,9 @@ class Affine(ContractionSpec):
     def true_factor(self) -> float:
         return spectral_norm(self.a)
 
+    def reference_fixed_point(self) -> np.ndarray:
+        return _solve_linear(self.a, self.b)
+
 
 @dataclass(frozen=True)
 class ScaledRotation(ContractionSpec):
@@ -144,6 +176,8 @@ class ScaledRotation(ContractionSpec):
     b: np.ndarray
     lam: float
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    kind = "scaled_rotation"
+    file_keys = (("theta", "theta"), ("scale", "scale"), ("b", "b"))
 
     def __post_init__(self):
         for name in ("theta", "scale"):
@@ -183,6 +217,34 @@ class ScaledRotation(ContractionSpec):
     def true_factor(self) -> float:
         return abs(self.scale)
 
+    def reference_fixed_point(self) -> np.ndarray:
+        return _solve_linear(self._matrix, self.b)
+
+
+def _bisect_kepler(e: float, mean_anomaly: float) -> float:
+    """Root of x - M - e sin x on [M - |e|, M + |e|] by plain bisection.
+
+    The bracket always works: at the endpoints the residual is -|e| - e sin(.)
+    and |e| - e sin(.), which cannot be positive resp. negative.
+    """
+    lo = mean_anomaly - abs(e)
+    hi = mean_anomaly + abs(e)
+    if lo == hi:
+        return mean_anomaly
+
+    def g(x: float) -> float:
+        return x - mean_anomaly - e * math.sin(x)
+
+    if g(lo) > 0.0 or g(hi) < 0.0:
+        raise UnsupportedInstanceError("bisection bracket failed")
+    while hi - lo > BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
 
 @dataclass(frozen=True)
 class KeplerScalar(ContractionSpec):
@@ -191,6 +253,8 @@ class KeplerScalar(ContractionSpec):
     e: float
     mean_anomaly: float
     lam: float
+    kind = "kepler"
+    file_keys = (("e", "e"), ("M", "mean_anomaly"))
 
     def __post_init__(self):
         for name in ("e", "mean_anomaly"):
@@ -217,6 +281,13 @@ class KeplerScalar(ContractionSpec):
 
     def true_factor(self) -> float:
         return abs(self.e)
+
+    def reference_fixed_point(self) -> np.ndarray:
+        return np.array([_bisect_kepler(self.e, self.mean_anomaly)])
+
+
+# Problem-file kind -> family class: the one table of the closed families.
+FAMILIES = {cls.kind: cls for cls in (Constant, Affine, ScaledRotation, KeplerScalar)}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Built-in problem instances with independently computed fixed points.
 
-References never come from the Picard engine itself: affine families are
-solved by direct elimination of (I - A) x = b and the Kepler family by
-bisection, so acceptance checks compare two genuinely different routes to
-the same point.
+References never come from the Picard engine itself: each family's
+``reference_fixed_point`` solves affine maps by direct elimination of
+(I - A) x = b and the Kepler map by bisection, so acceptance checks compare
+two genuinely different routes to the same point.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .contraction import (
 )
 from .errors import UnsupportedInstanceError
 
-BISECTION_WIDTH = 1e-12
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -41,57 +39,18 @@ class ProblemInstance:
             object.__setattr__(self, "reference", as_vector(self.reference))
 
 
-def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = b.size
-    return np.linalg.solve(np.eye(m) - a, b)
-
-
-def _bisect_kepler(e: float, mean_anomaly: float) -> float:
-    """Root of x - M - e sin x on [M - |e|, M + |e|] by plain bisection.
-
-    The bracket always works: at the endpoints the residual is -|e| - e sin(.)
-    and |e| - e sin(.), which cannot be positive resp. negative.
-    """
-    lo = mean_anomaly - abs(e)
-    hi = mean_anomaly + abs(e)
-    if lo == hi:
-        return mean_anomaly
-
-    def g(x: float) -> float:
-        return x - mean_anomaly - e * math.sin(x)
-
-    if g(lo) > 0.0 or g(hi) < 0.0:
-        raise UnsupportedInstanceError("bisection bracket failed")
-    while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def reference_fixed_point(p: ProblemInstance) -> np.ndarray:
     """Fixed point of the instance's map, computed without Picard iteration."""
-    spec = p.spec
-    if isinstance(spec, Constant):
-        return spec.c.copy()
-    if isinstance(spec, Affine):
-        return _solve_linear(spec.a, spec.b)
-    if isinstance(spec, ScaledRotation):
-        return _solve_linear(spec.matrix, spec.b)
-    if isinstance(spec, KeplerScalar):
-        return np.array([_bisect_kepler(spec.e, spec.mean_anomaly)])
-    raise UnsupportedInstanceError(
-        f"no reference solution available for {type(spec).__name__}"
-    )
+    if isinstance(p.spec, ContractionSpec):
+        return p.spec.reference_fixed_point()
+    # Not a spec at all: the base class refuses it with its usual message.
+    return ContractionSpec.reference_fixed_point(p.spec)
 
 
 def _instance(name: str, spec: ContractionSpec, x0, provenance: str) -> ProblemInstance:
-    p = ProblemInstance(name=name, spec=spec, x0=x0)
     return ProblemInstance(
         name=name, spec=spec, x0=x0,
-        reference=reference_fixed_point(p), provenance=provenance,
+        reference=spec.reference_fixed_point(), provenance=provenance,
     )
 
 

@@ -26,16 +26,14 @@ import numpy as np
 from . import __version__
 from .certificate import ConvergenceCertificate
 from .cone import NON_FINITE_NORM, norm, norm_each_row
-from .contraction import (
-    Affine,
-    Constant,
-    ContractionSpec,
-    KeplerScalar,
-    ScaledRotation,
-    evaluate,
-)
+from .contraction import FAMILIES, ContractionSpec, evaluate
 from .engine import IterationTrace
-from .errors import DimensionMismatchError, InvalidInputError, ProblemFileError
+from .errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    NotAContractionError,
+    ProblemFileError,
+)
 
 RUN_PARAM_KEYS = ("rule", "eps", "max_iterations", "seed")
 
@@ -126,28 +124,14 @@ def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
 # --- problem files ---------------------------------------------------------
 
 def map_to_dict(spec: ContractionSpec) -> dict:
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "c": spec.c.tolist()}
-    if isinstance(spec, Affine):
-        return {"kind": "affine", "A": spec.a.tolist(), "b": spec.b.tolist()}
-    if isinstance(spec, ScaledRotation):
-        return {
-            "kind": "scaled_rotation",
-            "theta": spec.theta,
-            "scale": spec.scale,
-            "b": spec.b.tolist(),
-        }
-    if isinstance(spec, KeplerScalar):
-        return {"kind": "kepler", "e": spec.e, "M": spec.mean_anomaly}
-    raise ProblemFileError(f"cannot serialize {type(spec).__name__}")
-
-
-_MAP_KEYS = {
-    "constant": {"c"},
-    "affine": {"A", "b"},
-    "scaled_rotation": {"theta", "scale", "b"},
-    "kepler": {"e", "M"},
-}
+    kind = getattr(spec, "kind", None)
+    if kind not in FAMILIES:
+        raise ProblemFileError(f"cannot serialize {type(spec).__name__}")
+    doc = {"kind": kind}
+    for key, name in spec.file_keys:
+        value = getattr(spec, name)
+        doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str):
@@ -180,38 +164,19 @@ def problem_from_dict(obj: dict):
     if not isinstance(map_obj, dict):
         raise ProblemFileError("map must be an object")
     kind = _require(map_obj, "kind", "map")
-    if kind not in _MAP_KEYS:
+    if kind not in FAMILIES:
         raise ProblemFileError(
-            f"unknown map kind {kind!r} (known: {', '.join(sorted(_MAP_KEYS))})"
+            f"unknown map kind {kind!r} (known: {', '.join(sorted(FAMILIES))})"
         )
-    _reject_unknown(map_obj, {"kind", *_MAP_KEYS[kind]}, f"map ({kind})")
+    family = FAMILIES[kind]
+    _reject_unknown(map_obj, {"kind", *(key for key, _ in family.file_keys)}, f"map ({kind})")
+    params = {name: _require(map_obj, key, "map") for key, name in family.file_keys}
     try:
-        if kind == "constant":
-            spec = Constant(c=_require(map_obj, "c", "map"), lam=lam)
-        elif kind == "affine":
-            spec = Affine(
-                a=_require(map_obj, "A", "map"), b=_require(map_obj, "b", "map"), lam=lam
-            )
-        elif kind == "scaled_rotation":
-            spec = ScaledRotation(
-                theta=_require(map_obj, "theta", "map"),
-                scale=_require(map_obj, "scale", "map"),
-                b=_require(map_obj, "b", "map"),
-                lam=lam,
-            )
-        else:
-            spec = KeplerScalar(
-                e=_require(map_obj, "e", "map"),
-                mean_anomaly=_require(map_obj, "M", "map"),
-                lam=lam,
-            )
+        spec = family(**params, lam=lam)
+    except NotAContractionError:
+        # A numerical verdict about the declared factor, not a parse problem.
+        raise
     except (TypeError, ValueError) as exc:
-        # NotAContractionError passes through untouched: it is a numerical
-        # verdict about the declared factor, not a parse problem.
-        from .errors import NotAContractionError
-
-        if isinstance(exc, NotAContractionError):
-            raise
         raise ProblemFileError(f"bad map/lambda: {exc}") from exc
     if spec.dimension != dimension:
         raise ProblemFileError(
@@ -230,16 +195,16 @@ def problem_from_dict(obj: dict):
             run_params[key] = obj[key]
     if "rule" in run_params and run_params["rule"] not in ("apriori", "aposteriori"):
         raise ProblemFileError(f"rule must be 'apriori' or 'aposteriori', got {run_params['rule']!r}")
-    for key in ("eps",):
-        if key in run_params and not (
-            isinstance(run_params[key], (int, float)) and run_params[key] > 0
-        ):
-            raise ProblemFileError(f"{key} must be a positive number")
+    eps = run_params.get("eps", 1.0)
+    if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and eps > 0):
+        raise ProblemFileError("eps must be a positive number")
     for key in ("max_iterations", "seed"):
         if key in run_params and (
             not isinstance(run_params[key], int) or isinstance(run_params[key], bool)
         ):
             raise ProblemFileError(f"{key} must be an integer")
+    if run_params.get("seed", 0) < 0:
+        raise ProblemFileError("seed must be a non-negative integer")
     return spec, x0, run_params
 
 

@@ -131,6 +131,12 @@ class TestCertify:
         main(["certify", "--builtin", "KEPLER", "--seed", "3", "--out", "b.json"])
         assert (in_tmp / "a.json").read_bytes() == (in_tmp / "b.json").read_bytes()
 
+    def test_negative_seed_is_usage_error(self, in_tmp, capsys):
+        code = main(["certify", "--builtin", "AFFINE_1D", "--seed", "-1", "--out", "cert.json"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (in_tmp / "cert.json").exists()
+
 
 class TestOmega:
     def test_fixed_point_is_member(self, in_tmp, capsys):
@@ -240,6 +246,18 @@ class TestProblemFiles:
         code = main(["certify", "--problem", path, "--out", "cert.json"])
         assert code == 0
         assert json.loads((in_tmp / "cert.json").read_text())["seed"] == 11
+
+    def test_negative_seed_param_is_usage_error(self, in_tmp, capsys):
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.5,
+            "map": {"kind": "kepler", "e": 0.5, "M": 1.0},
+            "x0": [0.0],
+            "seed": -3,
+        })
+        assert main(["certify", "--problem", path, "--out", "cert.json"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (in_tmp / "cert.json").exists()
 
 
 class TestUsage:

@@ -7,14 +7,20 @@ import pytest
 from cone_fixpoint import (
     Affine,
     APriori,
+    ContractionSpec,
     DimensionMismatchError,
     FixedCount,
     NotAContractionError,
     ProblemFileError,
+    ProblemInstance,
+    UnsupportedInstanceError,
     builtin,
+    builtin_catalog,
+    reference_fixed_point,
     run,
     verify_certificate,
 )
+from cone_fixpoint.contraction import FAMILIES
 from cone_fixpoint.traceio import (
     certificate_doc,
     dump_certificate,
@@ -27,6 +33,41 @@ from cone_fixpoint.traceio import (
 )
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
+_rng = np.random.default_rng(3)
+AFFINE_3D = Affine(a=_rng.uniform(-0.2, 0.2, (3, 3)), b=_rng.uniform(-1.0, 1.0, 3), lam=0.9)
+
+
+class _Halving(ContractionSpec):
+    """f(x) = x / 2 on R: a contraction that belongs to no family."""
+
+    lam = 0.5
+    dimension = 1
+
+    def _apply(self, x):
+        return 0.5 * x
+
+    def _apply_batch(self, xs):
+        return 0.5 * xs
+
+    def true_factor(self):
+        return 0.5
+
+
+class _NamedAffine(Affine):
+    """A subclass of a family, which serializes as that family."""
+
+
+# The problem-file keys of each kind, in the order they are required.
+FILE_KEYS = {
+    "affine": ["A", "b"],
+    "constant": ["c"],
+    "kepler": ["e", "M"],
+    "scaled_rotation": ["theta", "scale", "b"],
+}
+
+
+def _family_spec(kind):
+    return next(p.spec for p in builtin_catalog() if p.spec.kind == kind)
 
 
 class TestTraceCsv:
@@ -129,17 +170,57 @@ class TestProblemJson:
         assert params == {}
 
     def test_all_kinds_round_trip(self):
-        for name in ("AFFINE_1D", "CONSTANT", "ROTATION_2D", "KEPLER"):
-            p = builtin(name)
+        cases = [(p.spec, p.x0) for p in builtin_catalog()]
+        cases.append((AFFINE_3D, np.array([0.0, 1.0, -1.0])))
+        assert {spec.kind for spec, _ in cases} == set(FAMILIES)
+        for original, x0_original in cases:
             obj = {
-                "dimension": p.spec.dimension,
-                "lambda": p.spec.lam,
-                "map": map_to_dict(p.spec),
-                "x0": p.x0.tolist(),
+                "dimension": original.dimension,
+                "lambda": original.lam,
+                "map": map_to_dict(original),
+                "x0": x0_original.tolist(),
             }
-            spec, x0, _ = problem_from_dict(obj)
-            assert type(spec) is type(p.spec)
-            assert np.array_equal(x0, p.x0)
+            spec, x0, _ = problem_from_dict(json.loads(json.dumps(obj)))
+            assert type(spec) is type(original)
+            assert map_to_dict(spec) == obj["map"]
+            for _, field in original.file_keys:
+                got = np.asarray(getattr(spec, field))
+                want = np.asarray(getattr(original, field))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert spec.lam == original.lam
+            assert np.array_equal(x0, x0_original)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_first_missing_map_key_named(self, kind):
+        spec = _family_spec(kind)
+        keys = [key for key, _ in FAMILIES[kind].file_keys]
+        assert keys == FILE_KEYS[kind]
+        for i, key in enumerate(keys):
+            obj = self.base(dimension=spec.dimension, x0=[0.0] * spec.dimension)
+            obj["map"] = {k: v for k, v in map_to_dict(spec).items() if k not in keys[i:]}
+            with pytest.raises(ProblemFileError, match=rf"^missing key '{key}' in map$"):
+                problem_from_dict(obj)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_extra_map_key_named(self, kind):
+        spec = _family_spec(kind)
+        obj = self.base(dimension=spec.dimension, x0=[0.0] * spec.dimension)
+        # A constructor field that is no file key is refused like any other.
+        obj["map"] = {**map_to_dict(spec), "lam": spec.lam}
+        with pytest.raises(ProblemFileError, match=rf"unknown key\(s\) in map \({kind}\): lam$"):
+            problem_from_dict(obj)
+
+    def test_spec_outside_families_has_no_file_form_or_reference(self):
+        with pytest.raises(ProblemFileError, match="cannot serialize _Halving"):
+            map_to_dict(_Halving())
+        p = ProblemInstance(name="HALVING", spec=_Halving(), x0=[1.0])
+        with pytest.raises(UnsupportedInstanceError, match="_Halving"):
+            reference_fixed_point(p)
+
+    def test_family_subclass_serializes_as_family(self):
+        spec = _NamedAffine(a=[[0.5]], b=[1.0], lam=0.5)
+        assert map_to_dict(spec) == {"kind": "affine", "A": [[0.5]], "b": [1.0]}
+        assert spec.reference_fixed_point().tolist() == [2.0]
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ProblemFileError, match="frobnicate"):
@@ -154,7 +235,10 @@ class TestProblemJson:
     def test_unknown_kind(self):
         obj = self.base()
         obj["map"] = {"kind": "quadratic"}
-        with pytest.raises(ProblemFileError, match="quadratic"):
+        with pytest.raises(
+            ProblemFileError,
+            match=r"^unknown map kind 'quadratic' \(known: affine, constant, kepler, scaled_rotation\)$",
+        ):
             problem_from_dict(obj)
 
     def test_missing_key_named(self):
@@ -191,6 +275,15 @@ class TestProblemJson:
     def test_bad_rule_rejected(self):
         with pytest.raises(ProblemFileError, match="rule"):
             problem_from_dict(self.base(rule="whenever"))
+
+    @pytest.mark.parametrize("eps", [True, False])
+    def test_boolean_eps_rejected(self, eps):
+        with pytest.raises(ProblemFileError, match="eps"):
+            problem_from_dict(self.base(eps=eps))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ProblemFileError, match="seed must be a non-negative integer"):
+            problem_from_dict(self.base(seed=-3))
 
     def test_boolean_dimension_rejected(self):
         with pytest.raises(ProblemFileError):
