@@ -67,7 +67,6 @@ from .errors import (
     InvalidWitnessError,
     NotAContractionError,
     ProblemFileError,
-    SpectralNormError,
     UnsupportedInstanceError,
 )
 
@@ -87,5 +86,5 @@ __all__ = [
     "reference_residual",
     "ConeFixpointError", "DimensionMismatchError", "InvalidInputError",
     "InvalidSpecError", "InvalidWitnessError", "NotAContractionError",
-    "ProblemFileError", "SpectralNormError", "UnsupportedInstanceError",
+    "ProblemFileError", "UnsupportedInstanceError",
 ]

@@ -22,23 +22,31 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cone import as_vector, norm
+from .cone import NON_FINITE_NORM, as_vector, norm
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     InvalidSpecError,
     NotAContractionError,
-    SpectralNormError,
     UnsupportedInstanceError,
 )
 
 # Slack allowed between a family's measured factor and its declared one.
 FACTOR_SLACK = 1e-9
 
-# Power iteration constants, fixed for reproducibility.
-POWER_ITER_TOL = 1e-12
-POWER_ITER_CAP = 10_000
-_POWER_SEED = 0
+# Rounding allowance of spectral_norm in units of m u ||A||_F^2, u = eps / 2.
+# Two errors part the top computed eigenvalue of fl(A^T A) from ||A||_2^2,
+# each scaling with a norm at most ||A||_F^2:
+# * forming the product: |fl(A^T A) - A^T A| <= gamma_m |A|^T |A| (Higham,
+#   Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5),
+#   gamma_m = m u / (1 - m u) <= 1.01 m u;
+# * eigvalsh's backward error: p(m) u ||fl(A^T A)||_2 (LAPACK Users' Guide,
+#   section 4.7), p(m) a modestly growing function of m.
+# 4 leaves about 2 m for p(m) and a few u for rounding the final sum and
+# square root; against 40-digit eigenvalues of 3000 seeded matrices up to
+# 12x12, some with clustered top pairs, the largest gap was 1.15.  The
+# absolute term m^2 2^-1074 covers underflow in the products.
+ROUNDING_ALLOWANCE = 4.0
 
 # Radius of the sampling ball used by empirical_lipschitz.
 SAMPLE_RADIUS = 10.0
@@ -326,47 +334,31 @@ def evaluate_batch(spec: ContractionSpec, xs: np.ndarray) -> np.ndarray:
     return np.asarray(spec._apply_batch(xs), dtype=float)
 
 
-def spectral_norm(a, tol: float = POWER_ITER_TOL, max_iter: int = POWER_ITER_CAP) -> float:
-    """Largest singular value of a matrix by power iteration on A^T A.
+def spectral_norm(a) -> float:
+    """Rigorous upper bound on the largest singular value of a matrix.
 
-    The start vector is the all-ones vector with a small deterministic
-    perturbation (so it is never orthogonal to the dominant singular
-    direction for symmetric spectra), normalized.  Raises
-    :class:`SpectralNormError` carrying the best estimate if the value has
-    not stabilized to relative accuracy ``tol`` within ``max_iter`` steps.
+    The square root of the top LAPACK eigenvalue of A^T A plus the rounding
+    allowance ``ROUNDING_ALLOWANCE m u ||A||_F^2 + m^2 2^-1074``, with m the
+    larger dimension of A.  Raises :class:`InvalidInputError` when A^T A
+    overflows.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix entries must be finite")
-    if not (tol > 0.0):
-        raise InvalidInputError("tol must be positive")
     if not a.any():
         return 0.0
 
-    gram = a.T @ a
-    n = gram.shape[0]
-    rng = np.random.default_rng(_POWER_SEED)
-    v = np.ones(n) + 1e-3 * rng.standard_normal(n)
-    v /= norm(v)
-
-    sigma = math.inf
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = norm(w)
-        if nw == 0.0:
-            return 0.0
-        sigma_new = math.sqrt(max(float(v @ w), 0.0))
-        v = w / nw
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
-            return sigma_new
-        sigma = sigma_new
-    raise SpectralNormError(
-        f"power iteration did not reach relative tolerance {tol} "
-        f"within {max_iter} iterations (best estimate {sigma})",
-        estimate=sigma,
-    )
+    with np.errstate(over="ignore"):
+        gram = a.T @ a
+    if not np.all(np.isfinite(gram)):
+        raise InvalidInputError(NON_FINITE_NORM)
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    m = max(a.shape)
+    u = np.finfo(float).eps / 2
+    delta = ROUNDING_ALLOWANCE * m * u * float(np.trace(gram)) + m * m * math.ulp(0.0)
+    return math.sqrt(max(top, 0.0) + delta)
 
 
 def validate_contraction(spec: ContractionSpec, slack: float = FACTOR_SLACK) -> ValidationReport:
@@ -378,7 +370,7 @@ def validate_contraction(spec: ContractionSpec, slack: float = FACTOR_SLACK) -> 
     """
     _check_lambda(spec.lam)
     tf = spec.true_factor()
-    if tf > spec.lam + slack:
+    if not (tf <= spec.lam + slack):
         raise NotAContractionError(
             f"true Lipschitz factor {tf} exceeds declared lambda {spec.lam}",
             true_factor=tf,

@@ -25,14 +25,6 @@ class NotAContractionError(InvalidSpecError):
         self.true_factor = true_factor
 
 
-class SpectralNormError(ConeFixpointError, RuntimeError):
-    """Power iteration did not converge; carries the best estimate so far."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class InvalidWitnessError(ConeFixpointError, ValueError):
     """A supplied witness is not a member of the bounding set."""
 

@@ -146,6 +146,19 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _require_numbers(value, field: str):
+    """Return a JSON number or nested lists of them, refusing anything else:
+    a string or a boolean would otherwise pass ``float()`` as a number."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list):
+            pending.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ProblemFileError(f"{field} must hold JSON numbers, got {v!r}")
+    return value
+
+
 def problem_from_dict(obj: dict):
     """Parse a problem description into (spec, x0, run_params).
 
@@ -156,21 +169,24 @@ def problem_from_dict(obj: dict):
         raise ProblemFileError("problem document must be a JSON object")
     _reject_unknown(obj, {"dimension", "lambda", "map", "x0", *RUN_PARAM_KEYS}, "problem")
     dimension = _require(obj, "dimension", "problem")
-    lam = _require(obj, "lambda", "problem")
+    lam = _require_numbers(_require(obj, "lambda", "problem"), "lambda")
     map_obj = _require(obj, "map", "problem")
-    x0 = _require(obj, "x0", "problem")
+    x0 = _require_numbers(_require(obj, "x0", "problem"), "x0")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise ProblemFileError(f"dimension must be a positive integer, got {dimension!r}")
     if not isinstance(map_obj, dict):
         raise ProblemFileError("map must be an object")
     kind = _require(map_obj, "kind", "map")
-    if kind not in FAMILIES:
+    if not isinstance(kind, str) or kind not in FAMILIES:
         raise ProblemFileError(
             f"unknown map kind {kind!r} (known: {', '.join(sorted(FAMILIES))})"
         )
     family = FAMILIES[kind]
     _reject_unknown(map_obj, {"kind", *(key for key, _ in family.file_keys)}, f"map ({kind})")
-    params = {name: _require(map_obj, key, "map") for key, name in family.file_keys}
+    params = {
+        name: _require_numbers(_require(map_obj, key, "map"), f"{key} in map")
+        for key, name in family.file_keys
+    }
     try:
         spec = family(**params, lam=lam)
     except NotAContractionError:

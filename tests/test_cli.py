@@ -260,6 +260,54 @@ class TestProblemFiles:
         assert not (in_tmp / "cert.json").exists()
 
 
+    @pytest.mark.parametrize("problem,message", [
+        ({"lambda": 0.5, "map": {"kind": ["affine"], "A": [[0.5]], "b": [1.0]}, "x0": [0.0]},
+         "unknown map kind ['affine']"),
+        ({"lambda": "0.5", "map": {"kind": "affine", "A": [[0.5]], "b": [1.0]}, "x0": [0.0]},
+         "lambda must hold JSON numbers"),
+        ({"lambda": 0.5, "map": {"kind": "affine", "A": [["0.5"]], "b": ["1.0"]}, "x0": [0.0]},
+         "A in map must hold JSON numbers"),
+        ({"lambda": 0.5, "map": {"kind": "affine", "A": [[True]], "b": [1.0]}, "x0": [0.0]},
+         "A in map must hold JSON numbers"),
+        ({"lambda": 0.5, "map": {"kind": "affine", "A": [[0.5]], "b": [1.0]}, "x0": ["0.0"]},
+         "x0 must hold JSON numbers"),
+        ({"lambda": 0.5, "map": {"kind": "kepler", "e": "0.3", "M": "1.0"}, "x0": [0.0]},
+         "e in map must hold JSON numbers"),
+    ])
+    def test_malformed_value_is_usage_error(self, in_tmp, capsys, problem, message):
+        path = self.write_problem(in_tmp, {"dimension": 1, **problem})
+        assert main(["certify", "--problem", path, "--out", "cert.json"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (in_tmp / "cert.json").exists()
+
+    def test_clustered_spectrum_certifies(self, in_tmp, capsys):
+        # Top singular values 1e-6 apart, the larger one equal to lambda.
+        path = self.write_problem(in_tmp, {
+            "dimension": 2,
+            "lambda": 0.9,
+            "map": {"kind": "affine", "A": [[0.9, 0.0], [0.0, 0.899999]], "b": [1.0, 1.0]},
+            "x0": [0.0, 0.0],
+        })
+        assert main(["solve", "--problem", path, "--out", "trace.csv"]) == 0
+        code = main(["certify", "--problem", path, "--verify", "trace.csv",
+                     "--out", "cert.json"])
+        assert code == 0
+        assert "verdict        pass" in capsys.readouterr().out
+        assert json.loads((in_tmp / "cert.json").read_text())["verdict"] == "pass"
+
+    def test_clustered_spectrum_false_lambda_refused(self, in_tmp, capsys):
+        # Top singular values 1e-7 apart, lambda 1e-8 below the norm.
+        path = self.write_problem(in_tmp, {
+            "dimension": 2,
+            "lambda": 0.9 - 1e-8,
+            "map": {"kind": "affine", "A": [[0.9, 0.0], [0.0, 0.9 - 1e-7]], "b": [1.0, 1.0]},
+            "x0": [0.0, 0.0],
+        })
+        assert main(["solve", "--problem", path, "--out", "trace.csv"]) == 3
+        assert "not a contraction" in capsys.readouterr().err
+        assert not (in_tmp / "trace.csv").exists()
+
+
 class TestUsage:
     def test_no_source_given(self, in_tmp):
         assert main(["solve"]) == 2

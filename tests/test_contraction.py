@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from cone_fixpoint import (
     Affine,
     Constant,
+    ContractionSpec,
     DimensionMismatchError,
     InvalidInputError,
     InvalidSpecError,
     KeplerScalar,
     NotAContractionError,
     ScaledRotation,
-    SpectralNormError,
     empirical_lipschitz,
     evaluate,
     evaluate_batch,
@@ -131,20 +131,37 @@ class TestSpectralNorm:
             expected = float(np.linalg.svd(a, compute_uv=False)[0])
             assert spectral_norm(a) == pytest.approx(expected, rel=1e-9)
 
-    def test_nonconvergence_carries_estimate(self):
-        # nearly-degenerate top singular pair converges too slowly for the cap
-        a = np.diag([1.0, 1.0 - 1e-4])
-        with pytest.raises(SpectralNormError) as excinfo:
-            spectral_norm(a, tol=1e-12, max_iter=50)
-        assert excinfo.value.estimate == pytest.approx(1.0, abs=1e-3)
-
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             spectral_norm([1.0, 2.0])
         with pytest.raises(InvalidInputError):
             spectral_norm([[float("inf")]])
-        with pytest.raises(InvalidInputError):
-            spectral_norm([[1.0]], tol=0.0)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            spectral_norm([[1e200]])  # A^T A overflows
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500], ids=["1", "2^500", "2^-500"])
+    def test_upper_bound_tight_to_svd(self, scale):
+        # svd_top <= bound <= svd_top (1 + 1e-12), on random matrices and on
+        # clustered top pairs Q diag(s, s - 1e-7, ...) Q^T.
+        rng = np.random.default_rng(20)
+        for m in range(1, 51):
+            a = rng.standard_normal((m, m))
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            s = rng.uniform(0.1, 1.0)
+            tail = rng.uniform(0.0, s - 1e-7, m)
+            clustered = (q * np.concatenate(([s, s - 1e-7], tail))[:m]) @ q.T
+            for matrix in (a, clustered):
+                matrix = matrix * scale
+                svd_top = float(np.linalg.svd(matrix, compute_uv=False)[0])
+                bound = spectral_norm(matrix)
+                assert svd_top <= bound <= svd_top * (1 + 1e-12), (m, bound, svd_top)
+
+
+    def test_underflowing_gram_still_bounded(self):
+        # Every product in A^T A underflows to zero; the bound must not.
+        for a in ([[2.0**-600]], np.full((3, 3), 2.0**-560)):
+            svd_top = float(np.linalg.svd(np.asarray(a), compute_uv=False)[0])
+            assert spectral_norm(a) >= svd_top > 0.0
 
 
 class TestValidateContraction:
@@ -170,6 +187,33 @@ class TestValidateContraction:
     def test_kepler(self):
         report = validate_contraction(KeplerScalar(e=-0.4, mean_anomaly=1.0, lam=0.5))
         assert report.true_factor == 0.4
+
+    def test_clustered_spectrum_accepted(self):
+        report = validate_contraction(Affine(a=np.diag([0.9, 0.899999]), b=[1.0, 1.0], lam=0.9))
+        assert 0.9 <= report.true_factor <= 0.9 + 1e-15
+
+    def test_clustered_spectrum_false_lambda_refused(self):
+        spec = Affine(a=np.diag([0.9, 0.9 - 1e-7]), b=[1.0, 1.0], lam=0.9 - 1e-8)
+        with pytest.raises(NotAContractionError) as excinfo:
+            validate_contraction(spec)
+        assert excinfo.value.true_factor >= 0.9
+
+    def test_nan_true_factor_refused(self):
+        class _NanFactor(ContractionSpec):
+            lam = 0.5
+            dimension = 1
+
+            def _apply(self, x):
+                return 0.5 * x
+
+            def _apply_batch(self, xs):
+                return 0.5 * xs
+
+            def true_factor(self):
+                return math.nan
+
+        with pytest.raises(NotAContractionError):
+            validate_contraction(_NanFactor())
 
 
 class TestEmpiricalLipschitz:

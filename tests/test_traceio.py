@@ -241,6 +241,38 @@ class TestProblemJson:
         ):
             problem_from_dict(obj)
 
+    @pytest.mark.parametrize("kind", [["affine"], {"affine": 1}, 3, None],
+                             ids=["list", "object", "int", "null"])
+    def test_non_string_kind(self, kind):
+        obj = self.base()
+        obj["map"]["kind"] = kind
+        with pytest.raises(
+            ProblemFileError,
+            match=r"^unknown map kind .* \(known: affine, constant, kepler, scaled_rotation\)$",
+        ):
+            problem_from_dict(obj)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, {"v": 0.5}],
+                             ids=["string", "bool", "null", "object"])
+    @pytest.mark.parametrize(
+        "kind,field",
+        [(kind, key) for kind in sorted(FAMILIES) for key, _ in FAMILIES[kind].file_keys]
+        + [("affine", "lambda"), ("affine", "x0")],
+    )
+    def test_non_number_named(self, kind, field, bad):
+        spec = _family_spec(kind)
+        obj = self.base(dimension=spec.dimension, x0=[0.0] * spec.dimension)
+        obj["map"] = map_to_dict(spec)
+        holder = obj if field in ("lambda", "x0") else obj["map"]
+        # Put the bad value in the first number, however deeply nested.
+        parent, index = holder, field
+        while isinstance(parent[index], list):
+            parent, index = parent[index], 0
+        parent[index] = bad
+        name = field if holder is obj else f"{field} in map"
+        with pytest.raises(ProblemFileError, match=rf"^{name} must hold JSON numbers, got "):
+            problem_from_dict(obj)
+
     def test_missing_key_named(self):
         obj = self.base()
         del obj["lambda"]
