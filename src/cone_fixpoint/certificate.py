@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,12 +164,57 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     floors = np.maximum(*_omega_bounds_rows(om, xs))
     if np.isnan(floors).any():
         raise InvalidInputError(NON_FINITE_NORM)
-    return [AugmentedPoint(x, t) for x, t in zip(xs, (floors + offsets).tolist())]
+    ts = floors + offsets
+    if not np.isfinite(ts).all():
+        raise InvalidInputError("t must be finite")
+    xs.setflags(write=False)
+    return [AugmentedPoint._trusted(x, t) for x, t in zip(xs, ts.tolist())]
 
 
 def default_witnesses(om: OmegaSpec, count: int = DEFAULT_WITNESS_SAMPLES, seed: int = 0):
     """Canonical witness plus ``count`` sampled ones."""
     return [canonical_omega_witness(om)] + sample_omega(om, count, seed)
+
+
+class BoundedSummary(NamedTuple):
+    """The bounded check's residual matrix in brief: its size, its lowest
+    entry (NaN if it holds one) and where that entry first occurs, in
+    (witness, step) order; the last three are None without witnesses."""
+
+    count: int
+    min_residual: float | None
+    argmin_witness: int | None
+    argmin_step: int | None
+
+
+def _summary_of_rows(rows) -> BoundedSummary:
+    """The summary of the rows of a residual matrix: the lowest row minimum,
+    the first row that has it, and where in that row it first occurs."""
+    if not rows:
+        return BoundedSummary(0, None, None, None)
+    mins = [float(np.min(r)) for r in rows]
+    i = int(np.argmin(mins))
+    return BoundedSummary(sum(r.size for r in rows), mins[i], i, int(np.argmin(rows[i])))
+
+
+class _FilledOnFirstRead:
+    """A dataclass field that may be given as a zero-argument function in
+    place of its value: the function runs on the first read, and its result
+    replaces it.  The field has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -180,6 +226,10 @@ class ConvergenceCertificate:
     ``lower_bound_residuals`` are raw; their pass threshold is inflated by
     ``stop_bound`` because the limit is only known to lie within that
     distance of the final iterate.
+
+    ``witness_residuals`` (row i for witness i) may be given as a function
+    that computes them; it runs on the first read.  ``bounded_summary`` is
+    computed from them when not given.
     """
 
     n_steps: int
@@ -191,7 +241,7 @@ class ConvergenceCertificate:
     stop_bound: float
     monotone_residuals: np.ndarray
     witnesses: tuple[AugmentedPoint, ...]
-    witness_residuals: tuple[np.ndarray, ...]
+    witness_residuals: tuple[np.ndarray, ...] = _FilledOnFirstRead()
     lower_bound_residuals: np.ndarray
     consistency_x: np.ndarray
     consistency_t: np.ndarray
@@ -199,6 +249,11 @@ class ConvergenceCertificate:
     fixed_point_tolerance: float
     passed: bool
     first_failure: str | None
+    bounded_summary: BoundedSummary | None = None
+
+    def __post_init__(self):
+        if self.bounded_summary is None:
+            object.__setattr__(self, "bounded_summary", _summary_of_rows(self.witness_residuals))
 
 
 def _refuse_non_members(
@@ -231,6 +286,126 @@ def _refuse_non_members(
     return wx, wt
 
 
+def _bounded_residuals(wx, wt, xs, ts) -> np.ndarray:
+    """The bounded check's (W, N+1) residual matrix ``w.t - t^n -
+    ||w.x - x^n||``, row i for witness i, filled a block of witnesses at a
+    time; below PAIRWISE_SUM_MIN_COLUMNS columns the differences are laid out
+    so that each coordinate is contiguous for the narrow-row kernel."""
+    n_points, m = xs.shape
+    residuals = np.empty((wt.size, n_points))
+    if m < PAIRWISE_SUM_MIN_COLUMNS:
+        block = max(1, BLOCK_ELEMENTS // n_points)
+        xt = np.ascontiguousarray(xs.T)
+
+        def differences(a, b):
+            return np.moveaxis(wx[a:b, :, None] - xt, 1, -1)
+    else:
+        block = 1
+
+        def differences(a, b):
+            return wx[a:b, None, :] - xs
+    for start in range(0, wt.size, block):
+        stop = start + block
+        resid = np.subtract(wt[start:stop, None], ts, out=residuals[start:stop])
+        resid -= row_norms(differences(start, stop))
+    return residuals
+
+
+def _pair_residuals(wx, wt, xs, ts, i, n) -> np.ndarray:
+    """The entries (i[k], n[k]) of :func:`_bounded_residuals`, bit for bit,
+    from at least PAIRWISE_SUM_MIN_COLUMNS columns on: the same operations on
+    the gathered rows, N+1 pairs at a time."""
+    out = np.empty(i.size)
+    step = xs.shape[0]
+    for a in range(0, i.size, step):
+        wi, xn = i[a : a + step], n[a : a + step]
+        out[a : a + step] = (wt[wi] - ts[xn]) - row_norms(wx[wi] - xs[xn])
+    return out
+
+
+# The filter bounds each residual r = fl(g - R), with g = fl(w.t - t^n) and
+# R = row_norms(fl(w.x - x^n)), through D = fl(fl(S_w - 2 P) + S_x), where
+# S_w = w.w, P = w.x (one GEMM for all pairs) and S_x = x.x; write x for
+# x^n, w for w.x, u = 2^-53 and T = S_w + S_x.  For any summation order:
+#   * a dot product errs by at most gamma_m times the dot product of the
+#     absolute values (Higham, Accuracy and Stability, sec. 3.1), and
+#     2 |w|.|x| <= T, so with D's two additions |D - ||w - x||^2| <= (2m+5) u T;
+#   * the kernel's fl(w - x), max-abs scaling, squares, pairwise sum, sqrt
+#     and product by the scale put R^2 within a factor 1 +- gamma_{m+9} of
+#     ||w - x||^2 (its underflow is relative to the scale), and |D| <= 2.01 T;
+# so |R^2 - D| <= (4m + 24) u T, plus (5m + 1) smallest subnormals of
+# underflow in the dot products.  The slack doubles both terms: the second
+# half covers the rounding of D +- slack, of g^2 and of their square roots.
+# Its absolute term is counted in smallest normals, which also covers a
+# BLAS that flushes subnormal results to zero.
+def _undecided_or_near_min(wx, wt, xs, ts) -> np.ndarray:
+    """The (W, N+1) mask of the pairs whose residual must be computed
+    exactly: those the filter cannot show to be >= 0, and those whose
+    residual may be the lowest.
+
+    A pair is decided when g >= 0 and g^2 >= D + slack, which implies
+    R <= g and so r >= 0.  A non-finite bound leaves it undecided.  The
+    residual of a decided pair lies in [g - sqrt(D + slack),
+    g - sqrt(max(D - slack, 0))], rounding being monotone; any pair whose
+    lower end is at most the lowest upper end may hold the minimum.
+    """
+    m = xs.shape[1]
+    rel, absolute = (8 * m + 48) * 2.0**-53, (16 * m + 16) * 2.0**-1022
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = wt[:, None] - ts
+        sw, sx = np.vecdot(wx, wx), np.vecdot(xs, xs)
+        dist2 = sw[:, None] - 2.0 * (wx @ xs.T)
+        dist2 += sx
+        slack = sw[:, None] + sx
+        slack *= rel
+        slack += absolute
+        upper, lower = dist2 + slack, dist2 - slack
+        decided = (gaps >= 0.0) & (gaps * gaps >= upper) & np.isfinite(upper)
+        highest = np.where(decided, gaps - np.sqrt(np.maximum(lower, 0.0)), np.inf)
+        return ~decided | (gaps - np.sqrt(upper) <= highest.min(initial=np.inf))
+
+
+def _bounded_failure(i, n, resid, wt, ts, tol) -> str | None:
+    """The message for the first failing pair among the pairs (i[k], n[k]),
+    given in (witness, step) order with residuals that are < 0 or NaN; the
+    margin lives on the scale of the gap w.t - t^n."""
+    gaps = wt[i] - ts[n]
+    bad = np.nonzero(~(resid >= -tol.margin(gaps)))[0]
+    if not bad.size:
+        return None
+    k = bad[0]
+    return f"bounded check failed for witness {i[k]} at step {n[k]} (residual {resid[k]:.6e})"
+
+
+def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
+    """:func:`_summary_of_rows` of the whole residual matrix from the exact
+    residuals ``resid`` of the pairs with flat indices ``pairs`` (w (N+1) + n,
+    ascending; all pairs when None), which must hold every NaN and every
+    pair that may be the lowest."""
+    if not wt.size:
+        return BoundedSummary(0, None, None, None)
+    k = int(np.argmin(resid))  # the first NaN, else the first lowest
+    w, n = divmod(k if pairs is None else int(pairs[k]), ts.size)
+    low = float(resid[k])
+    if low == 0.0:
+        # np.min's choice between 0.0 and -0.0 depends on its order: take it
+        # from the witness's whole row.
+        low = float(np.min(_bounded_residuals(wx[w : w + 1], wt[w : w + 1], xs, ts)))
+    return BoundedSummary(wt.size * ts.size, low, w, n)
+
+
+def _filtered_bounded_check(wx, wt, xs, ts, tol) -> tuple[str | None, BoundedSummary]:
+    """The bounded check's first failure and summary, from at least
+    PAIRWISE_SUM_MIN_COLUMNS columns on, with exact residuals only at the
+    pairs the filter leaves."""
+    pairs = np.flatnonzero(_undecided_or_near_min(wx, wt, xs, ts))
+    i, n = np.divmod(pairs, ts.size)
+    resid = _pair_residuals(wx, wt, xs, ts, i, n)
+    low = ~(resid >= 0.0)
+    return (_bounded_failure(i[low], n[low], resid[low], wt, ts, tol),
+            _summary_of_pairs(wx, wt, xs, ts, resid, pairs))
+
+
 def verify_certificate(
     trace: IterationTrace,
     witnesses: list[AugmentedPoint] | None = None,
@@ -250,7 +425,10 @@ def verify_certificate(
 
     Each check runs on whole arrays; every residual and verdict is bit for
     bit what the per-witness, per-step definition in the module docstring
-    gives.
+    gives.  From PAIRWISE_SUM_MIN_COLUMNS columns on, the bounded check
+    computes exact residuals only for the pairs a rigorous GEMM filter cannot
+    decide and for the candidates for its minimum; ``witness_residuals`` are
+    then filled on first read.
     """
     if tol is None:
         tol = TolerancePolicy.default()
@@ -286,37 +464,23 @@ def verify_certificate(
             (0, f"monotone check failed at step {n} (residual {monotone_residuals[n]:.6e})")
         )
 
-    # (b) bounded: every witness dominates every trace point.  Row i of the
-    # (W, N+1) residual matrix belongs to witness i; it is filled a block of
-    # witnesses at a time, the differences w.x - x^n laid out so that each
-    # coordinate is contiguous for the narrow-row kernel.
-    residuals = np.empty((len(witnesses), n_points))
-    bounded_failure = None
+    # (b) bounded: every witness dominates every trace point.  Below
+    # PAIRWISE_SUM_MIN_COLUMNS columns the whole residual matrix is cheap and
+    # is filled at once; from there on a GEMM filter decides most pairs, the
+    # rest are recomputed exactly, and the matrix is filled on first read.
     if m < PAIRWISE_SUM_MIN_COLUMNS:
-        block = max(1, BLOCK_ELEMENTS // n_points)
-        xt = np.ascontiguousarray(xs.T)
-
-        def differences(a, b):
-            return np.moveaxis(wx[a:b, :, None] - xt, 1, -1)
+        residuals = _bounded_residuals(wx, wt, xs, ts)
+        bounded_failure = None
+        if not (residuals >= 0.0).all():  # a margin is >= 0, so a residual >= 0 passes
+            i, n = np.nonzero(~(residuals >= 0.0))
+            bounded_failure = _bounded_failure(i, n, residuals[i, n], wt, ts, tol)
+        bounded_summary = _summary_of_pairs(wx, wt, xs, ts, residuals.ravel())
+        witness_residuals = tuple(residuals)
     else:
-        block = 1
+        bounded_failure, bounded_summary = _filtered_bounded_check(wx, wt, xs, ts, tol)
 
-        def differences(a, b):
-            return wx[a:b, None, :] - xs
-    for start in range(0, len(witnesses), block):
-        stop = start + block
-        resid = np.subtract(wt[start:stop, None], ts, out=residuals[start:stop])
-        resid -= row_norms(differences(start, stop))
-        if bounded_failure is not None or (resid >= 0.0).all():
-            continue  # a margin is >= 0, so a residual >= 0 passes
-        # the margin lives on the scale of the gap w.t - t^n
-        i, n = np.nonzero(~(resid >= 0.0))
-        gaps = wt[start + i] - ts[n]
-        bad = np.nonzero(~(resid[i, n] >= -tol.margin(gaps)))[0]
-        if bad.size:
-            i, n = i[bad[0]], n[bad[0]]
-            bounded_failure = (f"bounded check failed for witness {start + i} at step {n} "
-                               f"(residual {resid[i, n]:.6e})")
+        def witness_residuals():
+            return tuple(_bounded_residuals(wx, wt, xs, ts))
     if bounded_failure is not None:
         failures.append((1, bounded_failure))
 
@@ -367,7 +531,7 @@ def verify_certificate(
         stop_bound=stop_bound,
         monotone_residuals=monotone_residuals,
         witnesses=witnesses,
-        witness_residuals=tuple(residuals),
+        witness_residuals=witness_residuals,
         lower_bound_residuals=lower,
         consistency_x=consistency_x,
         consistency_t=consistency_t,
@@ -375,4 +539,5 @@ def verify_certificate(
         fixed_point_tolerance=fp_tolerance,
         passed=not failures,
         first_failure=first_failure,
+        bounded_summary=bounded_summary,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -124,6 +125,16 @@ class AugmentedPoint:
             raise InvalidInputError("t must be finite")
         object.__setattr__(self, "t", t)
 
+    @classmethod
+    def _trusted(cls, x: np.ndarray, t: float) -> "AugmentedPoint":
+        """The point (x, t) from a read-only finite 1-D float array and a
+        finite float, taken as they are, without the constructor's copy and
+        checks."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "x", x)
+        object.__setattr__(point, "t", t)
+        return point
+
     @property
     def dimension(self) -> int:
         return self.x.size
@@ -217,9 +228,16 @@ class TolerancePolicy:
 
 
 def lorentz_contains(point: AugmentedPoint, tol: TolerancePolicy | None = None) -> bool:
-    """Is (x, t) in the Lorentz cone, i.e. t >= ||x|| up to the policy's slack?"""
+    """Is (x, t) in the Lorentz cone, i.e. t >= ||x|| up to the policy's slack?
+
+    A strict policy decides ``t >= 0 and t^2 >= sum x_i^2`` exactly: every
+    float is a dyadic rational, so no rounding enters.
+    """
     if tol is None:
         tol = TolerancePolicy.default()
+    if tol.strict:
+        t = Fraction(point.t)
+        return t >= 0 and t * t >= sum(Fraction(v) ** 2 for v in point.x.tolist())
     residual = point.t - norm(point.x)
     return residual >= -tol.margin(point.t)
 

@@ -249,18 +249,6 @@ def certificate_doc(
     full: bool = False,
 ) -> dict:
     """Build the JSON-serializable certificate document."""
-    if cert.witness_residuals:
-        mins = [float(np.min(r)) for r in cert.witness_residuals]
-        w_idx = int(np.argmin(mins))
-        bounded = {
-            "count": int(sum(r.size for r in cert.witness_residuals)),
-            "min_residual": mins[w_idx],
-            "argmin_witness": w_idx,
-            "argmin_step": int(np.argmin(cert.witness_residuals[w_idx])),
-        }
-    else:
-        bounded = {"count": 0, "min_residual": None, "argmin_witness": None, "argmin_step": None}
-
     echo_x = np.max(cert.consistency_x) if cert.consistency_x.size else 0.0
     echo_t = np.max(cert.consistency_t) if cert.consistency_t.size else 0.0
 
@@ -277,7 +265,7 @@ def certificate_doc(
         "limit_point": {"x": cert.limit_point.x.tolist(), "t": float(cert.limit_point.t)},
         "checks": {
             "monotone": _summary(cert.monotone_residuals, "argmin_step"),
-            "bounded": bounded,
+            "bounded": cert.bounded_summary._asdict(),
             "limit": _summary(cert.lower_bound_residuals, "argmin_witness"),
             "consistency": {
                 "count": int(cert.consistency_x.size),

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cone_fixpoint import (
     Affine,
@@ -29,6 +31,7 @@ from cone_fixpoint import (
     sample_omega,
     verify_certificate,
 )
+from cone_fixpoint import certificate
 from cone_fixpoint.cone import norm_each_row, row_norms
 from test_acceptance import random_affine_instances
 
@@ -117,6 +120,19 @@ class TestSampleOmega:
     def test_count_validated(self, affine_omega):
         with pytest.raises(InvalidInputError):
             sample_omega(affine_omega, 0, seed=1)
+
+    def test_samples_are_read_only(self, affine_omega):
+        for w in sample_omega(affine_omega, 4, seed=2):
+            with pytest.raises(ValueError):
+                w.x[0] = 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_floor_refused(self):
+        # t* = 1e300 is finite, but the floor of a sample far out overflows
+        om = OmegaSpec.for_problem(Affine(a=[[-(1 - 1e-9)]], b=[1e291], lam=1 - 1e-9), [0.0])
+        for sample in (sample_omega, _reference_sample_omega):
+            with pytest.raises(InvalidInputError, match="t must be finite"):
+                sample(om, 4, seed=0)
 
 
 class TestVerifyCertificate:
@@ -564,3 +580,143 @@ class TestSameBitsAsPerWitnessVerifier:
         assert row_norms(xs).tobytes() == _reference_row_norms(xs).tobytes()
         got = norm_each_row(xs)
         assert np.isnan(got[1:5]).all() and got[0] == got[5] == norm(xs[0])
+
+
+# --- the bounded check's GEMM filter ------------------------------------------
+
+def _full_matrix_bounded_check(wx, wt, xs, ts, tol):
+    """The bounded check from the whole residual matrix, in the per-witness
+    loop's order: the first failing (witness, step) and the summary as the
+    certificate document took it from the rows."""
+    rows = [(w_t - ts) - _reference_row_norms(w_x - xs) for w_x, w_t in zip(wx, wt)]
+    failure = None
+    for i, resid in enumerate(rows):
+        gaps = wt[i] - ts
+        bad = np.nonzero(~(resid >= -tol.margin(gaps)))[0]
+        if bad.size:
+            n = int(bad[0])
+            failure = f"bounded check failed for witness {i} at step {n} (residual {resid[n]:.6e})"
+            break
+    if not rows:
+        return failure, (0, None, None, None)
+    mins = [float(np.min(r)) for r in rows]
+    w = int(np.argmin(mins))
+    return failure, (len(rows) * ts.size, mins[w], w, int(np.argmin(rows[w])))
+
+
+def _assert_filter_matches_full_matrix(wx, wt, xs, ts, tol):
+    got = certificate._filtered_bounded_check(wx, wt, xs, ts, tol)
+    want = _full_matrix_bounded_check(wx, wt, xs, ts, tol)
+    assert got[0] == want[0]
+    assert _bits(tuple(got[1])) == _bits(want[1])
+    return got
+
+
+def _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale=1.0):
+    """Points x^n and witnesses, around a common offset, each witness's w.t
+    within a few ulp of the largest t^n + ||w.x - x^n||, so that its row's
+    lowest residual is near 0 and the others are above it."""
+    xs = scale * (offset + rng.standard_normal((n_points, m)))
+    ts = scale * np.abs(rng.standard_normal(n_points))
+    wx = scale * (offset + rng.standard_normal((n_witnesses, m)))
+    wt = np.max(ts + row_norms(wx[:, None, :] - xs), axis=1)
+    for _ in range(abs(ulps)):
+        wt = np.nextafter(wt, np.inf if ulps > 0 else -np.inf)
+    if n_witnesses > 1:
+        wx[-1], wt[-1] = wx[0], wt[0]  # a duplicate witness
+    return wx, wt, xs, ts
+
+
+class TestBoundedFilter:
+    """From PAIRWISE_SUM_MIN_COLUMNS columns on the bounded check computes
+    exact residuals only at the pairs a GEMM filter cannot decide and at the
+    candidates for the minimum; its verdict, message and summary must be
+    those of the whole matrix."""
+
+    @given(
+        m=st.sampled_from([8, 9, 16, 33]),
+        n_points=st.integers(1, 40),
+        n_witnesses=st.integers(1, 6),
+        offset=st.sampled_from([0.0, 1e3, 1e6, -1e8]),
+        ulps=st.integers(-4, 4),
+        # squares that overflow, or underflow to subnormals and zero
+        scale=st.sampled_from([1.0, 2.0**520, 2.0**-540]),
+        seed=st.integers(0, 2**32 - 1),
+        strict=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_near_boundary_witnesses(self, m, n_points, n_witnesses, offset, ulps, scale, seed,
+                                     strict):
+        rng = np.random.default_rng(seed)
+        wx, wt, xs, ts = _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale)
+        _assert_filter_matches_full_matrix(wx, wt, xs, ts, STRICT if strict else TolerancePolicy())
+
+    @pytest.mark.parametrize("m", [8, 20])
+    def test_decides_well_separated_pairs(self, m):
+        # honest witnesses leave only the pair holding the minimum
+        spec, x0 = _affine(m, seed=500 + m)
+        trace = run(spec, x0, FixedCount(60))
+        om = OmegaSpec.for_problem(spec, x0)
+        witnesses = certificate.default_witnesses(om)
+        wx = np.array([w.x for w in witnesses])
+        wt = np.array([w.t for w in witnesses])
+        exact = certificate._undecided_or_near_min(wx, wt, trace.xs, trace.ts)
+        assert exact.sum() == 1
+
+    @pytest.mark.parametrize("n_points", [9, 17, 100])
+    def test_zero_minimum_takes_the_sign_of_np_min(self, n_points):
+        # witness 1 meets its row's minimum 0 twice, once as -0.0 and once as
+        # +0.0; np.min's choice between them depends on its order
+        rng = np.random.default_rng(n_points)
+        xs = rng.standard_normal((n_points, 8))
+        ts = np.full(n_points, -1e3)
+        for a, b in ((2, 5), (5, 2), (0, n_points - 1), (n_points - 1, 0)):
+            xs_ab, ts_ab = xs.copy(), ts.copy()
+            xs_ab[b] = xs_ab[a]
+            ts_ab[a], ts_ab[b] = 0.0, -0.0
+            wx = np.array([xs_ab[a] + 1.0, xs_ab[a]])
+            wt = np.array([1e4, -0.0])
+            got = _assert_filter_matches_full_matrix(wx, wt, xs_ab, ts_ab, TolerancePolicy())
+            assert got[1].min_residual == 0.0 and got[1].argmin_witness == 1
+
+    def test_identical_witnesses_tie_to_the_lower_index(self):
+        spec, x0 = _affine(12, seed=600)
+        trace = run(spec, x0, FixedCount(30))
+        om = OmegaSpec.for_problem(spec, x0)
+        w = canonical_omega_witness(om)
+        others = sample_omega(om, 3, seed=4)
+        for witnesses in ([w, w] + others, others + [w, w]):
+            cert = _assert_same_certificate(trace, witnesses)
+            want = certificate._summary_of_rows(cert.witness_residuals)
+            assert cert.bounded_summary == want
+            assert cert.bounded_summary.argmin_witness == witnesses.index(w)
+
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_no_witnesses(self, m):
+        spec, x0 = _affine(m, seed=700 + m)
+        cert = _assert_same_certificate(run(spec, x0, FixedCount(10)), [])
+        assert cert.passed and cert.witness_residuals == ()
+        assert cert.bounded_summary == (0, None, None, None)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [2.0**520, 2.0**-520, 2.0**-540])
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_extreme_scales(self, m, scale):
+        # the squares of the trace's entries overflow (2^520), so the filter
+        # decides no pair, or go subnormal (2^-520, 2^-540), while the
+        # witnesses lie within 10 of x0 whatever the scale
+        spec, x0 = _affine(m, seed=100 + m, scale=scale)
+        trace = run(spec, x0, FixedCount(30))
+        _assert_same_certificate(trace, seed=3)
+        om = OmegaSpec.for_problem(spec, x0)
+        witnesses = certificate.default_witnesses(om, 8, seed=3)
+        wx = np.array([w.x for w in witnesses])
+        wt = np.array([w.t for w in witnesses])
+        if m >= 8:
+            undecided = certificate._undecided_or_near_min(wx, wt, trace.xs, trace.ts)
+            assert undecided.all() == (scale > 1.0)
+            # a trace moved far from every witness fails for every witness
+            shifted = trace.xs + 100.0 * max(abs(w.t) for w in witnesses)
+            for tol in (TolerancePolicy(), STRICT):
+                failure, _ = _assert_filter_matches_full_matrix(wx, wt, shifted, trace.ts, tol)
+                assert failure.startswith("bounded check failed for witness 0 at step 0")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cone_fixpoint import Affine, APriori, FixedCount, builtin_catalog, norm, run
+from cone_fixpoint import certificate
 from cone_fixpoint.cli import main
-from cone_fixpoint.traceio import trace_csv_header, write_trace_csv
+from cone_fixpoint.traceio import map_to_dict, trace_csv_header, write_trace_csv
 
 
 def read_csv(path):
@@ -398,3 +399,36 @@ def test_certificate_matches_golden_file(name, in_tmp, monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert (in_tmp / "cert.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, capsys):
+    """From PAIRWISE_SUM_MIN_COLUMNS columns on, ``certify`` takes the bounded
+    check's summary from the filter and never fills the (witnesses, points)
+    residual matrix; ``--full`` fills it once, and its rows give the same
+    summary as the whole-matrix minimum."""
+    monkeypatch.delenv("CONE_FIXPOINT_TOL", raising=False)
+    spec, x0 = _random_affine(12, seed=8)
+    problem = {"dimension": 12, "lambda": spec.lam, "map": map_to_dict(spec),
+               "x0": x0.tolist(), "eps": 1e-9}
+    (in_tmp / "p.json").write_text(json.dumps(problem))
+    assert main(["solve", "--problem", "p.json", "--out", "trace.csv"]) == 0
+    fills = []
+    fill = certificate._bounded_residuals
+    monkeypatch.setattr(certificate, "_bounded_residuals",
+                        lambda *args: fills.append(args) or fill(*args))
+    docs = {}
+    for name, extra in (("seeded", ["--seed", "5"]), ("verify", ["--verify", "trace.csv"]),
+                        ("full", ["--verify", "trace.csv", "--full"])):
+        argv = ["certify", "--problem", "p.json", *extra, "--out", f"{name}.json"]
+        assert main(argv) == 0
+        docs[name] = json.loads((in_tmp / f"{name}.json").read_text())
+        assert len(fills) == (name == "full")
+    capsys.readouterr()
+    rows = docs["full"]["full_residuals"]["bounded"]
+    mins = [min(r) for r in rows]
+    w = mins.index(min(mins))
+    assert docs["full"]["checks"]["bounded"] == {
+        "count": 33 * len(rows[0]), "min_residual": mins[w], "argmin_witness": w,
+        "argmin_step": rows[w].index(mins[w]),
+    }
+    assert docs["verify"]["checks"]["bounded"] == docs["full"]["checks"]["bounded"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_fixpoint import (
@@ -194,6 +194,9 @@ class TestOrderProperties:
 
     @given(int_coords, st.integers(0, 3), st.integers(0, 5), int_coords)
     @settings(max_examples=200)
+    # the difference (27, 117, 129, 135; 222) lies exactly on the boundary,
+    # where the scaled float norm gives 222.00000000000003
+    @example(coords=[9, 39, 43, 45], extra=0, mu=3, z_coords=[0])
     def test_linear_compatibility(self, coords, extra, mu, z_coords):
         m = len(coords)
         z = np.zeros(m)
