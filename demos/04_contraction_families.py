@@ -1,12 +1,14 @@
 """The built-in contraction families and how their factors are certified.
 
 A declared factor is only useful if it can be checked.  Each family has a
-closed-form true factor; for affine maps it is the spectral norm, bounded
-from above by the top LAPACK eigenvalue of A^T A plus a rounding allowance
-and cross-checked against dense SVD: the bound never falls below the SVD's
-top singular value, also when the top singular values cluster.  A seeded
-empirical probe of ||f(u) - f(v)|| / ||u - v|| gives an independent sanity
-bound from below.
+closed-form true factor; for affine maps it is the spectral norm.  The
+check accepts an affine map's declared factor when one Cholesky
+factorization of a shifted (lam + slack)^2 I - A^T A proves it, and
+otherwise falls back to the spectral-norm bound: the top LAPACK eigenvalue
+of A^T A plus a rounding allowance, which never falls below dense SVD's top
+singular value, also when the top singular values cluster (cross-checked
+below).  The reported true factor is that bound.  A seeded empirical probe
+of ||f(u) - f(v)|| / ||u - v|| gives an independent sanity bound from below.
 """
 
 import numpy as np

@@ -34,7 +34,7 @@ from .cone import (
     norm_each_row,
     row_norms,
 )
-from .contraction import ContractionSpec, evaluate, evaluate_batch
+from .contraction import ContractionSpec, FilledOnFirstRead, evaluate, evaluate_batch
 from .engine import IterationTrace, refuse_non_finite_rows
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessError
 
@@ -141,6 +141,12 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     points and their floors are then computed for all samples at once, bit
     for bit what :func:`norm` and :func:`omega_t_floor` give at each.
     """
+    return _sample_omega(om, count, seed)[0]
+
+
+def _sample_omega(om: OmegaSpec, count: int, seed: int):
+    """:func:`sample_omega`'s points, with their drift and residual bounds
+    (:func:`_omega_bounds_rows`)."""
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if seed < 0:
@@ -161,19 +167,30 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     xs = om.x0 + (radii / norm_each_row(us))[:, None] * us
     if not np.isfinite(xs).all():
         raise InvalidInputError("vector coordinates must be finite")
-    floors = np.maximum(*_omega_bounds_rows(om, xs))
+    bounds = _omega_bounds_rows(om, xs)
+    floors = np.maximum(*bounds)
     if np.isnan(floors).any():
         raise InvalidInputError(NON_FINITE_NORM)
     ts = floors + offsets
     if not np.isfinite(ts).all():
         raise InvalidInputError("t must be finite")
     xs.setflags(write=False)
-    return [AugmentedPoint._trusted(x, t) for x, t in zip(xs, ts.tolist())]
+    return [AugmentedPoint._trusted(x, t) for x, t in zip(xs, ts.tolist())], bounds
+
+
+class _SampledWitnesses(list):
+    """The witness list of :func:`default_witnesses`, which also holds the
+    drift and residual bounds of its sampled members (all but the first)."""
+
+    sampled_bounds: tuple[np.ndarray, np.ndarray]
 
 
 def default_witnesses(om: OmegaSpec, count: int = DEFAULT_WITNESS_SAMPLES, seed: int = 0):
     """Canonical witness plus ``count`` sampled ones."""
-    return [canonical_omega_witness(om)] + sample_omega(om, count, seed)
+    samples, bounds = _sample_omega(om, count, seed)
+    witnesses = _SampledWitnesses([canonical_omega_witness(om)] + samples)
+    witnesses.sampled_bounds = bounds
+    return witnesses
 
 
 class BoundedSummary(NamedTuple):
@@ -195,26 +212,6 @@ def _summary_of_rows(rows) -> BoundedSummary:
     mins = [float(np.min(r)) for r in rows]
     i = int(np.argmin(mins))
     return BoundedSummary(sum(r.size for r in rows), mins[i], i, int(np.argmin(rows[i])))
-
-
-class _FilledOnFirstRead:
-    """A dataclass field that may be given as a zero-argument function in
-    place of its value: the function runs on the first read, and its result
-    replaces it.  The field has no default."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name]
-        if callable(value):
-            value = obj.__dict__[self.name] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,7 @@ class ConvergenceCertificate:
     stop_bound: float
     monotone_residuals: np.ndarray
     witnesses: tuple[AugmentedPoint, ...]
-    witness_residuals: tuple[np.ndarray, ...] = _FilledOnFirstRead()
+    witness_residuals: tuple[np.ndarray, ...] = FilledOnFirstRead()
     lower_bound_residuals: np.ndarray
     consistency_x: np.ndarray
     consistency_t: np.ndarray
@@ -257,20 +254,28 @@ class ConvergenceCertificate:
 
 
 def _refuse_non_members(
-    om: OmegaSpec, witnesses: tuple[AugmentedPoint, ...], tol: TolerancePolicy
+    om: OmegaSpec, witnesses: tuple[AugmentedPoint, ...], tol: TolerancePolicy,
+    known_bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check every witness for membership in one array pass and return their
     stacked x (W, m) and t (W,).
 
-    The error raised is the one the per-witness definition meets first:
-    a dimension mismatch, a non-finite norm inside :func:`omega_bounds`, or
-    a non-member (:class:`InvalidWitnessError` with its index).
+    ``known_bounds`` may hold the :func:`_omega_bounds_rows` of the last
+    witnesses, as computed when they were sampled; the map is then applied
+    only to the others.  The error raised is the one the per-witness
+    definition meets first: a dimension mismatch, a non-finite norm inside
+    :func:`omega_bounds`, or a non-member (:class:`InvalidWitnessError`
+    with its index).
     """
     m = om.spec.dimension
     k = next((i for i, w in enumerate(witnesses) if w.dimension != m), len(witnesses))
     wx = np.array([w.x for w in witnesses[:k]]).reshape(k, m)
     wt = np.array([w.t for w in witnesses[:k]], dtype=float)
-    drift, residual = _omega_bounds_rows(om, wx)
+    if known_bounds is None:
+        drift, residual = _omega_bounds_rows(om, wx)
+    else:
+        fresh = _omega_bounds_rows(om, wx[: k - known_bounds[0].size])
+        drift, residual = (np.concatenate(pair) for pair in zip(fresh, known_bounds))
     margin = tol.margin(wt)
     raised = np.isnan(drift) | np.isnan(residual)
     bad = raised | ~((wt - drift >= -margin) & (wt - residual >= -margin))
@@ -437,10 +442,12 @@ def verify_certificate(
     xs, ts = trace.xs, trace.ts
     refuse_non_finite_rows(xs, ts)
 
+    known_bounds = None
     if witnesses is None:
         witnesses = default_witnesses(om, omega_sample_count, seed)
+        known_bounds = witnesses.sampled_bounds
     witnesses = tuple(witnesses)
-    wx, wt = _refuse_non_members(om, witnesses, tol)
+    wx, wt = _refuse_non_members(om, witnesses, tol, known_bounds)
 
     n_points, m = xs.shape
     n_steps = n_points - 1

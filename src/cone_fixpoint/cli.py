@@ -21,7 +21,6 @@ import numpy as np
 
 from .certificate import (
     OmegaSpec,
-    default_witnesses,
     omega_bounds,
     omega_contains,
     verify_certificate,
@@ -169,10 +168,9 @@ def _cmd_certify(args) -> int:
         trace = run(spec, x0, _make_rule(args, run_params))
         hit_cap = trace.stop_reason is StopReason.MAX_ITERATIONS
 
-    om = OmegaSpec.for_problem(spec, x0)
-    witnesses = default_witnesses(om, count=args.omega_samples, seed=seed)
     try:
-        cert = verify_certificate(trace, witnesses, tol)
+        cert = verify_certificate(trace, None, tol, omega_sample_count=args.omega_samples,
+                                  seed=seed)
     except InvalidWitnessError as exc:
         print(f"internal error: {exc} (constructive sampling should make this "
               f"impossible; please report this as a bug)", file=sys.stderr)

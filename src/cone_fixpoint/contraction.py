@@ -88,6 +88,11 @@ class ContractionSpec(abc.ABC):
     def true_factor(self) -> float:
         """The family's actual Lipschitz factor."""
 
+    def _factor_proven_at_most(self, bound: float) -> bool:
+        """True when a check cheaper than :meth:`true_factor` proves that the
+        true factor is at most ``bound``; False when it cannot tell."""
+        return False
+
     def reference_fixed_point(self) -> np.ndarray:
         """Fixed point of the map, computed without Picard iteration."""
         raise UnsupportedInstanceError(
@@ -170,6 +175,9 @@ class Affine(ContractionSpec):
 
     def true_factor(self) -> float:
         return spectral_norm(self.a)
+
+    def _factor_proven_at_most(self, bound: float) -> bool:
+        return _cholesky_proves_norm_at_most(self.a, bound)
 
     def reference_fixed_point(self) -> np.ndarray:
         return _solve_linear(self.a, self.b)
@@ -298,14 +306,38 @@ class KeplerScalar(ContractionSpec):
 FAMILIES = {cls.kind: cls for cls in (Constant, Affine, ScaledRotation, KeplerScalar)}
 
 
+class FilledOnFirstRead:
+    """A dataclass field that may be given as a zero-argument function in
+    place of its value: the function runs on the first read, and its result
+    replaces it.  The field has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of checking a spec's declared factor against its true one."""
+    """Outcome of checking a spec's declared factor against its true one.
+
+    ``true_factor`` may be given as a function that computes it; it runs on
+    the first read.
+    """
 
     family: str
     dimension: int
     declared_lambda: float
-    true_factor: float
+    true_factor: float = FilledOnFirstRead()
 
     @property
     def margin(self) -> float:
@@ -361,20 +393,80 @@ def spectral_norm(a) -> float:
     return math.sqrt(max(top, 0.0) + delta)
 
 
+# The gate proves ||A||_2 <= c, i.e. M = c^2 I - A^T A positive semidefinite,
+# by a floating-point Cholesky factorization of H = fl(T I - G), where
+# G = fl(A^T A), c2 = fl(c c), T = fl(c2 - s) and F = fl(trace G), for an
+# m x m matrix A.  Write u = 2^-53 and eta = 2^-1022, the smallest normal,
+# which bounds an operation's underflow error also where subnormal results
+# are flushed to zero.  Take m <= 2^22 (such an A fills 128 TiB), so every
+# gamma_k = k u / (1 - k u) below is at most k u (1 + 2^-30).
+#   * Product: |G - A^T A| <= gamma_m |A|^T |A| entrywise, for any summation
+#     order (Higham, Accuracy and Stability, sec. 3.5), so
+#     ||G - A^T A||_2 <= gamma_m ||A||_F^2 <= (m + 0.01) u F, plus at most
+#     2 m eta of underflow in each entry, 3 m^2 eta in norm.
+#   * Forming H: off the diagonal H = -G exactly; on it fl(T - G_ii) errs
+#     by at most u (T + G_ii) + eta <= u c2 + 1.01 u F + eta.
+#   * Cholesky: if it runs to completion on H, the computed factor R has
+#     R^T R = H + E with |E_ij| <= alpha sqrt(H_ii H_jj), alpha =
+#     gamma_{m+1} / (1 - gamma_{m+1}) (Demmel's bound, as used by Rump,
+#     "Verification of positive definiteness", BIT 46, 2006), so
+#     ||E||_2 <= alpha trace(H) <= alpha m c2 (1 + u).  A blocked
+#     factorization, or one that multiplies by 1 / r_jj, rounds at most once
+#     more per entry: alpha <= (m + 2) u (1 + 2^-29).  Underflow adds at most
+#     2 (m + 1) eta (1 + r_jj) <= 4 (m + 1)(1 + c2) eta to each entry of E.
+#   * c^2 >= c2 (1 - u) and T <= (c2 - s)(1 + u) + eta, so
+#     c^2 - T >= s - 2 u c2 - eta.
+# As R^T R >= 0, lambda_min(M) >= c^2 - T less the three norms above, which
+# is >= 0 once s >= u ((m + 2)^2 c2 + (m + 2) F) + 8 (m + 1)^2 (1 + c2) eta.
+# The shift doubles both terms; the second half covers the rounding of s
+# itself.  A NaN from an overflow inside the factorization reaches the last
+# diagonal entry of R, which must be finite.  The gate tries no c outside
+# [2^-500, 2^500] and no A with F > m c2 (then ||A||_2 > c up to rounding),
+# so no entry of H is near overflow.
+def _cholesky_proves_norm_at_most(a: np.ndarray, c: float) -> bool:
+    """True when one Cholesky factorization of a shifted c^2 I - A^T A
+    proves ||A||_2 <= c for the square matrix A; False when it cannot (the
+    factorization breaks down, or c or A is out of the gate's range)."""
+    if not (2.0**-500 <= c <= 2.0**500):
+        return False
+    m = a.shape[0]
+    u, eta = 2.0**-53, 2.0**-1022
+    h = a.T @ a
+    c2 = c * c
+    frob2 = float(np.trace(h))
+    if not (frob2 <= m * c2):
+        return False
+    shift = 2.0 * u * ((m + 2) ** 2 * c2 + (m + 2) * frob2) + 16.0 * (m + 1) ** 2 * (1.0 + c2) * eta
+    np.negative(h, out=h)
+    h.ravel()[:: m + 1] += c2 - shift
+    try:
+        r = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return math.isfinite(r[-1, -1])
+
+
 def validate_contraction(spec: ContractionSpec, slack: float = FACTOR_SLACK) -> ValidationReport:
     """Confirm the declared factor dominates the family's true factor.
 
-    Returns a report carrying the computed true factor; raises
+    Returns a report carrying the true factor; raises
     :class:`NotAContractionError` when the true factor exceeds
     ``lam + slack`` and :class:`InvalidSpecError` for an out-of-range lam.
+    When the family proves ``lam + slack`` an upper bound by a cheaper check
+    (``Affine``: one Cholesky factorization), the report's ``true_factor``
+    is computed on its first read.
     """
     _check_lambda(spec.lam)
-    tf = spec.true_factor()
-    if not (tf <= spec.lam + slack):
-        raise NotAContractionError(
-            f"true Lipschitz factor {tf} exceeds declared lambda {spec.lam}",
-            true_factor=tf,
-        )
+    bound = spec.lam + slack
+    if spec._factor_proven_at_most(bound):
+        tf = spec.true_factor
+    else:
+        tf = spec.true_factor()
+        if not (tf <= bound):
+            raise NotAContractionError(
+                f"true Lipschitz factor {tf} exceeds declared lambda {spec.lam}",
+                true_factor=tf,
+            )
     return ValidationReport(
         family=type(spec).__name__,
         dimension=spec.dimension,

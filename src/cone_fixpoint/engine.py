@@ -29,6 +29,9 @@ DEFAULT_MAX_ITERATIONS = 1_000_000
 # ill-conditioned and runs carry a warning.
 CONDITIONING_GAP = 1e-6
 
+# Rows of an APosteriori run's first trace buffer; it doubles when full.
+INITIAL_ROWS = 64
+
 
 class StopReason(enum.Enum):
     A_PRIORI = "apriori"
@@ -198,6 +201,48 @@ def a_priori_iterations(d: float, lam: float, eps: float) -> int:
     return n
 
 
+# The a-posteriori stop test at a step v = x^{n+1} - x^n of m entries is
+# fl(sf N) <= eps, with N = norm(v) and sf the float stop_factor.  The
+# engine skips it when sq = fl(v.v) is finite and above the threshold below:
+# then the test would fail.  Write u = 2^-53, eta = 2^-1022 (the smallest
+# normal; it bounds an operation's underflow error also where subnormal
+# results are flushed to zero), E = eps / sf exactly, and take eps >= eta
+# (for smaller eps nothing is skipped) and m <= 2^40, so gamma_m =
+# m u / (1 - m u) <= 1.01 m u.  Suppose the test passes.
+#   * fl(sf N) <= eps gives sf N <= eps / (1 - u): the product either is
+#     normal, with relative error u, or is below eta <= eps.  So
+#     N <= E / (1 - u).
+#   * If the largest |v_i| is below eta, then ||v||^2 < m eta^2.  Otherwise
+#     norm's scaled entries y_i = fl(v_i / scale) include one of exactly 1,
+#     so fl(y.y) >= 1 in any summation order, the underflow of the quotients
+#     and of the squares is relative to that 1, and with the rounding of
+#     the quotients, the dot product (gamma_m, Higham, Accuracy and
+#     Stability, sec. 3.1, any order), the square root and the product by
+#     the scale, N^2 >= (1 - (1.01 m + 11) u) ||v||^2.
+#   * sq <= (1 + gamma_m) ||v||^2 + 2.02 m eta for any summation order.
+# Together sq <= (1 + (3 m + 16) u) E^2 + (2.02 m + 1) eta.  The threshold
+# is fl(fl(r r) K) + A with r = fl(eps / sf), K = 1 + (6 m + 32) u, twice
+# the relative term, and A = (8 m + 8) eta, both exact.  The doubled
+# relative term covers the rounding of r, of r r and of the threshold's own
+# product and sum.  A covers twice the absolute term plus the at most
+# 4.1 eta of E^2 K that is lost where E < 2^-510 and r r underflows.  An
+# overflowing threshold is inf and skips nothing.
+def _skip_threshold(eps: float, stop_factor: float, m: int) -> float:
+    """The bound above which fl(v.v) shows that the a-posteriori stop test
+    ``stop_factor * norm(v) <= eps`` fails (derivation above)."""
+    if eps < 2.0**-1022:
+        return math.inf
+    ratio = float(eps) / stop_factor
+    return ratio * ratio * (1.0 + (6 * m + 32) * 2.0**-53) + (8 * m + 8) * 2.0**-1022
+
+
+def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
+    """``buffer`` copied into one of twice its rows (at most ``limit``)."""
+    out = np.empty((min(2 * buffer.shape[0], limit),) + buffer.shape[1:])
+    out[: buffer.shape[0]] = buffer
+    return out
+
+
 def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     """Run the augmented iteration from x0 under the given stopping rule.
 
@@ -206,8 +251,12 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     whole by :class:`IterationTrace`.  The first step norm d is computed once
     and then frozen into the scalar recurrence.  When the step count N is
     known in advance (``APriori``, ``FixedCount``) the (N+1, m) and (N+1,)
-    buffers are preallocated and no step norm is computed; ``APosteriori``
-    takes the norm of every step for its stop test.  A run that exhausts its
+    buffers are preallocated and no step norm is computed.  ``APosteriori``
+    writes its rows into buffers that double when full, and decides its stop
+    test from one dot product per step, taking the step norm only where
+    that cannot settle the test (a step near the stop, or a non-finite or
+    overflowing one), so it stops exactly where a test on every step's
+    norm would.  A run that exhausts its
     ``max_iterations`` guard is returned truncated and flagged
     MAX_ITERATIONS rather than raising, so the partial trace is never lost.
     """
@@ -260,21 +309,31 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
             xs[n] = x
             ts[n] = t
     else:
-        stop_factor = lam / gap
-        xs, ts = [x0], [0.0]
+        stop_factor, eps = lam / gap, rule.eps
+        skip_above = _skip_threshold(eps, stop_factor, x0.size)
+        limit = rule.max_iterations + 1
+        xs = np.empty((min(INITIAL_ROWS, limit), x0.size))
+        ts = np.empty(xs.shape[0])
+        xs[0], ts[0] = x0, 0.0
+        n = 0
         while True:
-            x_next = apply(x) if len(xs) > 1 else x1
+            x_next = apply(x) if n else x1
             t = lam * t + d
-            step_norm = norm(x_next - x)
+            diff = x_next - x
             x = x_next
-            xs.append(x)
-            ts.append(t)
-            if stop_factor * step_norm <= rule.eps:
-                break
-            if len(xs) > rule.max_iterations:
+            n += 1
+            if n == xs.shape[0]:
+                xs, ts = _grown(xs, limit), _grown(ts, limit)
+            xs[n] = x
+            ts[n] = t
+            # np.vdot, unlike np.dot, does not warn when the squares overflow
+            if not (skip_above < float(np.vdot(diff, diff)) < math.inf):
+                if stop_factor * norm(diff) <= eps:
+                    break
+            if n >= rule.max_iterations:
                 reason = StopReason.MAX_ITERATIONS
                 break
-        xs, ts = np.vstack(xs), np.asarray(ts)
+        xs, ts = xs[: n + 1], ts[: n + 1]
 
     return IterationTrace(
         spec=spec, x0=x0, d=d, xs=xs, ts=ts,

@@ -16,6 +16,7 @@ ignored so a certificate always reflects the parsed problem.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -52,6 +53,18 @@ def write_text_atomic(path: str, text: str):
         raise
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    """Turn a failure to open or decode the file at ``path`` (a missing file,
+    a directory, bytes that are not text) into :class:`ProblemFileError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ProblemFileError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path}: not a text file: {exc}") from exc
+
+
 def trace_csv_header(m: int) -> list[str]:
     return ["n"] + [f"x_{i}" for i in range(m)] + ["t", "step_norm", "t_increment", "mono_residual"]
 
@@ -78,9 +91,10 @@ def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
 
     ``x0`` is the declared start of the problem; when omitted, row 0 is
     taken as the start.  The stored derived columns are ignored: the
-    verifier recomputes everything from the raw points.
+    verifier recomputes everything from the raw points.  A file that cannot
+    be read or is not text raises :class:`ProblemFileError`.
     """
-    with open(path, newline="") as fh:
+    with _reading(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -226,7 +240,7 @@ def problem_from_dict(obj: dict):
 
 def load_problem_file(path: str):
     try:
-        with open(path) as fh:
+        with _reading(path), open(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc

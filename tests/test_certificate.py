@@ -584,6 +584,45 @@ class TestSameBitsAsPerWitnessVerifier:
 
 # --- the bounded check's GEMM filter ------------------------------------------
 
+class TestSampledWitnessBoundsReused:
+    """When verify_certificate samples its own witnesses, the membership
+    check reuses the bounds sampling computed and applies the map only at
+    the canonical witness; supplied witnesses are checked in full."""
+
+    def _row_counts(self, monkeypatch):
+        counts = []
+        original = certificate._omega_bounds_rows
+
+        def counted(om, xs):
+            counts.append(xs.shape[0])
+            return original(om, xs)
+
+        monkeypatch.setattr(certificate, "_omega_bounds_rows", counted)
+        return counts
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 50])
+    def test_map_applied_once_more_only_at_the_canonical_witness(self, m, monkeypatch):
+        spec, x0 = _affine(m, seed=600 + m)
+        trace = run(spec, x0, APosteriori(1e-8))
+        counts = self._row_counts(monkeypatch)
+        own = verify_certificate(trace, omega_sample_count=16, seed=4)
+        assert counts == [16, 1]
+        del counts[:]
+        om = OmegaSpec.for_problem(spec, x0)
+        supplied = verify_certificate(trace, certificate.default_witnesses(om, 16, seed=4))
+        assert counts == [16, 17]
+        for field in dataclasses.fields(ConvergenceCertificate):
+            assert _bits(getattr(own, field.name)) == _bits(getattr(supplied, field.name)), field.name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sampling_errors_come_first(self):
+        spec = Affine(a=[[-(1 - 1e-9)]], b=[1e291], lam=1 - 1e-9)
+        trace = run(spec, [0.0], FixedCount(3))
+        for check in (verify_certificate, _reference_verify):
+            with pytest.raises(InvalidInputError, match="t must be finite"):
+                check(trace, omega_sample_count=4)
+
+
 def _full_matrix_bounded_check(wx, wt, xs, ts, tol):
     """The bounded check from the whole residual matrix, in the per-witness
     loop's order: the first failing (witness, step) and the summary as the

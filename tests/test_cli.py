@@ -236,6 +236,25 @@ class TestProblemFiles:
     def test_missing_file_is_usage_error(self, in_tmp):
         assert main(["solve", "--problem", "no/such/file.json", "--out", "t.csv"]) == 2
 
+    def test_problem_file_not_utf8_is_usage_error(self, in_tmp, capsys):
+        path = in_tmp / "bom.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", "--problem", str(path), "--out", "t.csv"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a text file")
+
+    def test_problem_directory_is_usage_error(self, in_tmp, capsys):
+        (in_tmp / "problem").mkdir()
+        assert main(["solve", "--problem", "problem", "--out", "t.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
+    def test_verify_directory_is_usage_error(self, in_tmp, capsys):
+        (in_tmp / "trace").mkdir()
+        code = main(["certify", "--builtin", "AFFINE_1D", "--verify", "trace",
+                     "--out", "cert.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno")
+        assert not (in_tmp / "cert.json").exists()
+
     def test_certify_from_file_with_seed_param(self, in_tmp):
         path = self.write_problem(in_tmp, {
             "dimension": 1,
@@ -432,3 +451,17 @@ def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, cap
         "argmin_step": rows[w].index(mins[w]),
     }
     assert docs["verify"]["checks"]["bounded"] == docs["full"]["checks"]["bounded"]
+
+
+def test_certify_reuses_the_sampled_omega_bounds(in_tmp, monkeypatch, capsys):
+    """``certify`` lets the verifier sample its witnesses, so the membership
+    check applies the map again only at the canonical witness."""
+    counts = []
+    bounds_rows = certificate._omega_bounds_rows
+    monkeypatch.setattr(certificate, "_omega_bounds_rows",
+                        lambda om, xs: counts.append(xs.shape[0]) or bounds_rows(om, xs))
+    assert main(["certify", "--builtin", "ROTATION_2D", "--omega-samples", "9",
+                 "--out", "cert.json"]) == 0
+    assert counts == [9, 1]
+    assert len(json.loads((in_tmp / "cert.json").read_text())["witnesses"]) == 10
+    capsys.readouterr()

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cone_fixpoint import contraction
+from cone_fixpoint.contraction import _cholesky_proves_norm_at_most
 from cone_fixpoint import (
     Affine,
     Constant,
@@ -214,6 +217,122 @@ class TestValidateContraction:
 
         with pytest.raises(NotAContractionError):
             validate_contraction(_NanFactor())
+
+
+def _sigma_max_40_digits(a):
+    """The largest singular value of a float matrix, to 40 digits: every
+    float converts exactly, so only the eigensolver rounds."""
+    with mpmath.workdps(40):
+        m = mpmath.matrix(np.asarray(a).tolist())
+        return mpmath.sqrt(max(mpmath.eigsy(m.T * m, eigvals_only=True)))
+
+
+def _small_matrices(rng, m):
+    """Random, symmetric with a clustered top pair, and rank-one m x m
+    matrices with top singular value near 0.9."""
+    raw = rng.standard_normal((m, m))
+    yield raw * (0.9 / float(np.linalg.svd(raw, compute_uv=False)[0]))
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    s = np.concatenate(([0.9, 0.9 - 1e-12], rng.uniform(0.0, 0.8, m)))[:m]
+    yield (q * s) @ q.T
+    u, v = rng.standard_normal(m), rng.standard_normal(m)
+    yield np.outer(u, v) * (0.9 / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
+def _floats_around(value, ulps):
+    """value and the ``ulps`` floats on either side of it."""
+    out = [value]
+    for direction in (-np.inf, np.inf):
+        x = value
+        for _ in range(ulps):
+            x = float(np.nextafter(x, direction))
+            out.append(x)
+    return out
+
+
+class TestCholeskyGate:
+    """The gate accepts c only when it proves ||A||_2 <= c."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_never_accepts_below_the_40_digit_sigma_max(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(12):
+            for a in _small_matrices(rng, m):
+                sigma = _sigma_max_40_digits(a)
+                near = _floats_around(float(sigma), 40)
+                far = [float(sigma) * (1 + k) for k in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9)]
+                for c in near + far:
+                    if mpmath.mpf(c) < sigma:
+                        assert not _cholesky_proves_norm_at_most(a, c), (a.tolist(), c)
+                assert _cholesky_proves_norm_at_most(a, float(sigma) * (1 + 1e-6))
+
+    @pytest.mark.parametrize("scale", [2.0**-400, 2.0**400], ids=["2^-400", "2^400"])
+    def test_never_accepts_below_sigma_max_at_extreme_scales(self, scale):
+        rng = np.random.default_rng(7)
+        for m in (2, 5):
+            for a in _small_matrices(rng, m):
+                a = a * scale
+                sigma = _sigma_max_40_digits(a)
+                for c in _floats_around(float(sigma), 20):
+                    if mpmath.mpf(c) < sigma:
+                        assert not _cholesky_proves_norm_at_most(a, c)
+                assert _cholesky_proves_norm_at_most(a, float(sigma) * (1 + 1e-6))
+
+    @pytest.mark.parametrize("m", [20, 100, 300])
+    def test_well_separated_against_svd(self, m):
+        # The SVD errs by far less than 1e-10 relative at these sizes.
+        rng = np.random.default_rng(m)
+        for a in list(_small_matrices(rng, m))[:2]:
+            sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+            for rel in (1e-3, 1e-8, 1e-10):
+                assert not _cholesky_proves_norm_at_most(a, sigma * (1 - rel))
+            assert _cholesky_proves_norm_at_most(a, sigma * (1 + 1e-8))
+
+    def test_out_of_range_bounds_are_not_tried(self):
+        a = np.array([[0.5]])
+        for c in (0.0, -1.0, math.nan, math.inf, 2.0**-501, 2.0**501):
+            assert not _cholesky_proves_norm_at_most(a, c)
+
+    def test_a_factor_bigger_than_m_c_squared_is_not_tried(self):
+        assert not _cholesky_proves_norm_at_most(np.full((2, 2), 1.0), 1.0)
+
+
+class TestLazyTrueFactor:
+    def _counting(self, monkeypatch):
+        calls = []
+        original = contraction.spectral_norm
+
+        def counted(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(contraction, "spectral_norm", counted)
+        return calls
+
+    def test_accepted_affine_computes_spectral_norm_once_on_read(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        a = np.diag([0.9, 0.899999])
+        report = validate_contraction(Affine(a=a, b=[1.0, 1.0], lam=0.9))
+        assert calls == []
+        assert report.true_factor == spectral_norm(a)  # the unpatched function
+        assert len(calls) == 1
+        assert report.margin == report.declared_lambda - report.true_factor
+        assert len(calls) == 1
+
+    def test_refused_affine_computes_spectral_norm_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        with pytest.raises(NotAContractionError) as excinfo:
+            validate_contraction(Affine(a=[[1.1]], b=[0.0], lam=0.9))
+        assert len(calls) == 1
+        assert excinfo.value.true_factor == spectral_norm([[1.1]])
+
+    def test_report_value_is_unchanged(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 4, 30):
+            raw = rng.standard_normal((m, m))
+            a = raw * (0.7 / float(np.linalg.svd(raw, compute_uv=False)[0]))
+            report = validate_contraction(Affine(a=a, b=np.ones(m), lam=0.7))
+            assert report.true_factor == spectral_norm(a)
 
 
 class TestEmpiricalLipschitz:

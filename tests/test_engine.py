@@ -306,6 +306,31 @@ def _rule_id(rule):
     return "-".join([type(rule).__name__] + [str(v) for v in vars(rule).values()])
 
 
+def _affine_problem(m, seed, lam):
+    """An m-dimensional affine map with ||A||_2 = lam and a start away from
+    its fixed point."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m, m))
+    a = raw * (lam / float(np.linalg.svd(raw, compute_uv=False)[0]))
+    return Affine(a=a, b=rng.standard_normal(m), lam=lam), rng.standard_normal(m)
+
+
+def _stop_values(spec, x0, steps):
+    """The a-posteriori stop value (lam / (1 - lam)) * norm(step n), for
+    n = 1..steps, as the stop test computes it."""
+    xs = run(spec, x0, FixedCount(steps)).xs
+    stop_factor = spec.lam / (1.0 - spec.lam)
+    return [stop_factor * norm(xs[n] - xs[n - 1]) for n in range(1, steps + 1)]
+
+
+def _eps_at_and_around(value):
+    """value and its float neighbours, the positive ones (a rule's eps)."""
+    return [e for e in (np.nextafter(value, 0.0), value, np.nextafter(value, np.inf)) if e > 0.0]
+
+
+DIMENSIONS = [1, 2, 7, 8, 300]
+
+
 class TestSameBitsAsListLoop:
     @pytest.mark.parametrize("rule", RULES, ids=_rule_id)
     @pytest.mark.parametrize("name", [p.name for p in builtin_catalog()])
@@ -323,3 +348,72 @@ class TestSameBitsAsListLoop:
         spec = ScaledRotation(theta=1.234, scale=scale, b=[0.3, -2.0], lam=0.95)
         for rule in (APriori(1e-12), APosteriori(1e-12), FixedCount(300)):
             _assert_same_as_reference(spec, [5.0, -7.5], rule)
+
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    def test_eps_on_and_next_to_a_step(self, m):
+        # eps equal to the stop value of step N, or one float either side,
+        # puts step N inside the filter's band.
+        for seed in range(3 if m == 300 else 12):
+            spec, x0 = _affine_problem(m, seed, lam=0.6)
+            values = _stop_values(spec, x0, 25)
+            for n in (1, 2, 9, 25):
+                for eps in _eps_at_and_around(values[n - 1]):
+                    _assert_same_as_reference(spec, x0, APosteriori(eps, max_iterations=200))
+
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    @pytest.mark.parametrize("scale", [2.0**520, 2.0**-520, 2.0**-530, 2.0**-540],
+                             ids=["2^520", "2^-520", "2^-530", "2^-540"])
+    def test_extreme_scales(self, m, scale):
+        # At 2^520 every dot product overflows and the exact test decides;
+        # from 2^-520 on the squares are subnormal or zero, and the filter
+        # rests on its absolute term.
+        for seed in range(2 if m == 300 else 6):
+            spec, x0 = _affine_problem(m, seed, lam=0.6)
+            spec = Affine(a=spec.a, b=scale * spec.b, lam=spec.lam)
+            x0 = scale * x0
+            values = _stop_values(spec, x0, 25)
+            for n in (1, 2, 4, 7, 25):
+                for eps in _eps_at_and_around(values[n - 1]):
+                    _assert_same_as_reference(spec, x0, APosteriori(eps, max_iterations=200))
+
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    @pytest.mark.parametrize("max_iterations", [63, 64, 65, 129, 300])
+    def test_max_iterations_past_buffer_growth(self, m, max_iterations):
+        spec, x0 = _affine_problem(m, 7, lam=0.99)
+        _assert_same_as_reference(spec, x0, APosteriori(1e-300, max_iterations=max_iterations))
+
+    def test_stop_past_buffer_growth(self):
+        spec, x0 = _affine_problem(8, 3, lam=0.95)
+        values = _stop_values(spec, x0, 200)
+        for n in (63, 64, 65, 128, 129, 200):
+            _assert_same_as_reference(spec, x0, APosteriori(values[n - 1], max_iterations=400))
+
+    def test_subnormal_eps_takes_the_exact_test(self):
+        # With lam = 2^-600 the stop value of a step near 2^-430 is
+        # subnormal, and rounding it can lose far more than the filter's
+        # relative term: below the smallest normal the filter skips nothing.
+        rng = np.random.default_rng(11)
+        spec0 = Affine(a=[[2.0**-601]], b=[1.0], lam=2.0**-600)
+        for b in rng.uniform(2.0**-431, 2.0**-429, 40):
+            spec = Affine(a=spec0.a, b=[b], lam=spec0.lam)
+            for eps in _eps_at_and_around(_stop_values(spec, [0.0], 1)[0]):
+                _assert_same_as_reference(spec, [0.0], APosteriori(eps, max_iterations=5))
+
+    def test_non_finite_step_raises(self):
+        # x^3 overflows; with the guard at 3 the run must still take that
+        # step's norm and refuse it, not return the truncated trace.
+        spec = Affine(a=[[0.5]], b=[1e308], lam=0.5)
+        for max_iterations in (3, 10):
+            rule = APosteriori(1e-8, max_iterations=max_iterations)
+            for check in (run, _reference_run):
+                with np.errstate(over="ignore"), pytest.raises(
+                    InvalidInputError, match="cannot take the norm of a non-finite vector"
+                ):
+                    check(spec, [1e308], rule)
+
+    def test_trace_arrays_are_exact_and_read_only(self):
+        spec, x0 = _affine_problem(7, 1, lam=0.99)
+        trace = run(spec, x0, APosteriori(1e-300, max_iterations=100))
+        assert trace.xs.shape == (101, 7) and trace.ts.shape == (101,)
+        assert not trace.xs.flags.writeable and not trace.ts.flags.writeable
+        assert trace.xs.flags.c_contiguous
