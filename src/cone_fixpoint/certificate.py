@@ -178,19 +178,9 @@ def _sample_omega(om: OmegaSpec, count: int, seed: int):
     return [AugmentedPoint._trusted(x, t) for x, t in zip(xs, ts.tolist())], bounds
 
 
-class _SampledWitnesses(list):
-    """The witness list of :func:`default_witnesses`, which also holds the
-    drift and residual bounds of its sampled members (all but the first)."""
-
-    sampled_bounds: tuple[np.ndarray, np.ndarray]
-
-
 def default_witnesses(om: OmegaSpec, count: int = DEFAULT_WITNESS_SAMPLES, seed: int = 0):
     """Canonical witness plus ``count`` sampled ones."""
-    samples, bounds = _sample_omega(om, count, seed)
-    witnesses = _SampledWitnesses([canonical_omega_witness(om)] + samples)
-    witnesses.sampled_bounds = bounds
-    return witnesses
+    return [canonical_omega_witness(om)] + sample_omega(om, count, seed)
 
 
 class BoundedSummary(NamedTuple):
@@ -444,8 +434,8 @@ def verify_certificate(
 
     known_bounds = None
     if witnesses is None:
-        witnesses = default_witnesses(om, omega_sample_count, seed)
-        known_bounds = witnesses.sampled_bounds
+        samples, known_bounds = _sample_omega(om, omega_sample_count, seed)
+        witnesses = [canonical_omega_witness(om)] + samples
     witnesses = tuple(witnesses)
     wx, wt = _refuse_non_members(om, witnesses, tol, known_bounds)
 

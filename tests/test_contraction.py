@@ -1,6 +1,6 @@
 import math
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,12 +219,30 @@ class TestValidateContraction:
             validate_contraction(_NanFactor())
 
 
-def _sigma_max_40_digits(a):
-    """The largest singular value of a float matrix, to 40 digits: every
-    float converts exactly, so only the eigensolver rounds."""
-    with mpmath.workdps(40):
-        m = mpmath.matrix(np.asarray(a).tolist())
-        return mpmath.sqrt(max(mpmath.eigsy(m.T * m, eigvals_only=True)))
+def _exact_norm_test(a):
+    """The exact test c -> (||A||_2 <= c).  Floats convert to Fraction
+    without rounding, and c^2 I - A^T A is positive semidefinite iff a
+    symmetric elimination meets no negative pivot and no zero pivot with a
+    nonzero entry left below it."""
+    a = [[Fraction(v) for v in row] for row in np.asarray(a, dtype=float).tolist()]
+    m = len(a)
+    gram = [[sum(a[k][i] * a[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+
+    def norm_at_most(c):
+        c2 = Fraction(c) ** 2
+        s = [[(c2 if i == j else 0) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]
+        for p in range(m):
+            d = s[p][p]
+            if d < 0 or (d == 0 and any(s[i][p] for i in range(p + 1, m))):
+                return False
+            for i in range(p + 1, m):
+                if d and s[i][p]:
+                    f = s[i][p] / d
+                    for j in range(p + 1, m):
+                        s[i][j] -= f * s[p][j]
+        return True
+
+    return norm_at_most
 
 
 def _small_matrices(rng, m):
@@ -254,29 +272,33 @@ class TestCholeskyGate:
     """The gate accepts c only when it proves ||A||_2 <= c."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
-    def test_never_accepts_below_the_40_digit_sigma_max(self, m):
+    def test_never_accepts_below_the_exact_norm(self, m):
         rng = np.random.default_rng(100 + m)
         for _ in range(12):
             for a in _small_matrices(rng, m):
-                sigma = _sigma_max_40_digits(a)
-                near = _floats_around(float(sigma), 40)
-                far = [float(sigma) * (1 + k) for k in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9)]
-                for c in near + far:
-                    if mpmath.mpf(c) < sigma:
-                        assert not _cholesky_proves_norm_at_most(a, c), (a.tolist(), c)
-                assert _cholesky_proves_norm_at_most(a, float(sigma) * (1 + 1e-6))
+                sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+                near = _floats_around(sigma, 40)
+                far = [sigma * (1 + k) for k in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9)]
+                exact = _exact_norm_test(a)
+                below = [c for c in near + far if not exact(c)]
+                assert below
+                for c in below:
+                    assert not _cholesky_proves_norm_at_most(a, c), (a.tolist(), c)
+                assert _cholesky_proves_norm_at_most(a, sigma * (1 + 1e-6))
 
     @pytest.mark.parametrize("scale", [2.0**-400, 2.0**400], ids=["2^-400", "2^400"])
-    def test_never_accepts_below_sigma_max_at_extreme_scales(self, scale):
+    def test_never_accepts_below_the_exact_norm_at_extreme_scales(self, scale):
         rng = np.random.default_rng(7)
         for m in (2, 5):
             for a in _small_matrices(rng, m):
                 a = a * scale
-                sigma = _sigma_max_40_digits(a)
-                for c in _floats_around(float(sigma), 20):
-                    if mpmath.mpf(c) < sigma:
-                        assert not _cholesky_proves_norm_at_most(a, c)
-                assert _cholesky_proves_norm_at_most(a, float(sigma) * (1 + 1e-6))
+                sigma = float(np.linalg.svd(a, compute_uv=False)[0])
+                exact = _exact_norm_test(a)
+                below = [c for c in _floats_around(sigma, 20) if not exact(c)]
+                assert below
+                for c in below:
+                    assert not _cholesky_proves_norm_at_most(a, c)
+                assert _cholesky_proves_norm_at_most(a, sigma * (1 + 1e-6))
 
     @pytest.mark.parametrize("m", [20, 100, 300])
     def test_well_separated_against_svd(self, m):
