@@ -8,8 +8,8 @@ Three subcommands:
 * ``omega``    report the bounding-set membership of one augmented point.
 
 Exit codes: 0 success / verdict pass; 1 verification fail (or non-member);
-2 usage or parse error; 3 numerical outcome (iteration cap hit, declared
-factor refuted).
+2 usage or parse error, or an output path that cannot be written; 3 numerical
+outcome (iteration cap hit, declared factor refuted).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .certificate import (
+    DEFAULT_WITNESS_SAMPLES,
     OmegaSpec,
     omega_bounds,
     omega_contains,
@@ -27,13 +28,8 @@ from .certificate import (
 )
 from .cone import AugmentedPoint, TolerancePolicy
 from .contraction import validate_contraction
-from .engine import APosteriori, APriori, StopReason, run
-from .errors import (
-    ConeFixpointError,
-    InvalidWitnessError,
-    NotAContractionError,
-    ProblemFileError,
-)
+from .engine import DEFAULT_MAX_ITERATIONS, APosteriori, APriori, StopReason, run
+from .errors import ConeFixpointError, InvalidWitnessError, NotAContractionError
 from .problems import builtin, builtin_catalog
 from .traceio import (
     certificate_doc,
@@ -50,7 +46,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_EPS = 1e-8
-DEFAULT_MAX_ITER = 1_000_000
 DEFAULT_SEED = 0
 
 
@@ -79,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_problem_source(p_cert)
     p_cert.add_argument("--eps", type=float, default=None)
     p_cert.add_argument("--max-iter", type=int, default=None)
-    p_cert.add_argument("--omega-samples", type=int, default=32)
+    p_cert.add_argument("--omega-samples", type=int, default=DEFAULT_WITNESS_SAMPLES)
     p_cert.add_argument("--seed", type=int, default=None)
     p_cert.add_argument("--out", default="certificate.json", help="certificate JSON path")
     p_cert.add_argument("--full", action="store_true",
@@ -122,7 +117,7 @@ def _pick(cli_value, run_params, key, fallback):
 def _make_rule(args, run_params):
     rule_name = _pick(getattr(args, "rule", None), run_params, "rule", "apriori")
     eps = float(_pick(args.eps, run_params, "eps", DEFAULT_EPS))
-    max_iter = int(_pick(args.max_iter, run_params, "max_iterations", DEFAULT_MAX_ITER))
+    max_iter = int(_pick(args.max_iter, run_params, "max_iterations", DEFAULT_MAX_ITERATIONS))
     cls = APriori if rule_name == "apriori" else APosteriori
     return cls(eps=eps, max_iterations=max_iter)
 
@@ -224,13 +219,7 @@ def main(argv=None) -> int:
     except NotAContractionError as exc:
         print(f"error: not a contraction: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConeFixpointError as exc:
+    except (ConeFixpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,6 @@ available for exact checks on exactly-representable inputs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
 
-ENV_TOL = "CONE_FIXPOINT_TOL"
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-12
 NON_FINITE_NORM = "cannot take the norm of a non-finite vector"
@@ -197,15 +195,8 @@ class TolerancePolicy:
 
     @classmethod
     def default(cls) -> "TolerancePolicy":
-        """Default verification policy; CONE_FIXPOINT_TOL overrides both tolerances."""
-        raw = os.environ.get(ENV_TOL)
-        if raw is None:
-            return cls()
-        try:
-            v = float(raw)
-        except ValueError as exc:
-            raise InvalidInputError(f"{ENV_TOL} must parse as a float, got {raw!r}") from exc
-        return cls(atol=v, rtol=v)
+        """The verification policy of this version: ``atol = rtol = 1e-12``."""
+        return cls()
 
     @classmethod
     def exact(cls) -> "TolerancePolicy":

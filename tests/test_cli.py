@@ -122,6 +122,25 @@ class TestCertify:
         assert not (in_tmp / "cert.json").exists()
         assert f"trace row {row}" in capsys.readouterr().err
 
+    def test_iteration_cap_exits_3_with_a_certificate(self, in_tmp, capsys):
+        code = main(["certify", "--builtin", "NEAR_ONE", "--max-iter", "3",
+                     "--out", "cert.json"])
+        assert code == 3
+        assert "verdict        pass" in capsys.readouterr().out
+        doc = json.loads((in_tmp / "cert.json").read_text())
+        assert doc["n_steps"] == 3
+        assert doc["verdict"] == "pass"
+
+    def test_verify_malformed_row_is_usage_error(self, in_tmp, capsys):
+        main(["solve", "--builtin", "AFFINE_1D", "--eps", "0.25", "--out", "trace.csv"])
+        text = (in_tmp / "trace.csv").read_text()
+        (in_tmp / "trace.csv").write_text(text + "4,1.875\n")
+        code = main(["certify", "--builtin", "AFFINE_1D", "--verify", "trace.csv",
+                     "--out", "cert.json"])
+        assert code == 2
+        assert "malformed row ['4', '1.875']" in capsys.readouterr().err
+        assert not (in_tmp / "cert.json").exists()
+
     def test_full_flag(self, in_tmp):
         main(["certify", "--builtin", "AFFINE_1D", "--full", "--out", "cert.json"])
         doc = json.loads((in_tmp / "cert.json").read_text())
@@ -335,12 +354,38 @@ class TestUsage:
     def test_unknown_command(self, in_tmp):
         assert main(["frobnicate"]) == 2
 
-    def test_env_tolerance_applies(self, in_tmp, monkeypatch):
-        # a generous tolerance accepts a point just below the boundary
-        monkeypatch.setenv("CONE_FIXPOINT_TOL", "0.5")
-        assert main(["omega", "--builtin", "AFFINE_1D", "--x", "0", "--t", "3.6"]) == 0
-        monkeypatch.delenv("CONE_FIXPOINT_TOL")
-        assert main(["omega", "--builtin", "AFFINE_1D", "--x", "0", "--t", "3.6"]) == 1
+    def test_env_tolerance_is_ignored(self, in_tmp, monkeypatch, capsys):
+        """The verification policy is a constant of the version: no
+        environment variable loosens a verdict or changes a certificate."""
+        main(["solve", "--builtin", "KEPLER", "--out", "trace.csv"])
+        lines = (in_tmp / "trace.csv").read_text().splitlines()
+        row = (len(lines) - 1) // 2
+        cells = lines[1 + row].split(",")
+        cells[1] = repr(float(cells[1]) + 0.01)  # move x^row by 0.01
+        lines[1 + row] = ",".join(cells)
+        (in_tmp / "moved.csv").write_text("\n".join(lines) + "\n")
+        for value in ("0", "0.1", "0.5", "not-a-float"):
+            monkeypatch.setenv("CONE_FIXPOINT_TOL", value)
+            capsys.readouterr()
+            # a point just below the boundary stays outside Omega
+            assert main(["omega", "--builtin", "AFFINE_1D", "--x", "0", "--t", "3.6"]) == 1
+            assert main(["certify", "--builtin", "KEPLER", "--verify", "moved.csv",
+                         "--out", "cert.json"]) == 1
+            assert f"monotone check failed at step {row - 1}" in capsys.readouterr().out
+            assert main(["certify", "--builtin", "KEPLER", "--seed", "5", "--full",
+                         "--out", "cert.json"]) == 0
+            assert (in_tmp / "cert.json").read_bytes() == (GOLDEN / "KEPLER.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    @pytest.mark.parametrize("out", ["adir", "missing/x.csv"])
+    def test_unwritable_out_is_usage_error(self, in_tmp, capsys, command, out):
+        # a directory, or a file in a directory that does not exist
+        (in_tmp / "adir").mkdir()
+        assert main([command, "--builtin", "AFFINE_1D", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno")
+        assert sorted(p.name for p in in_tmp.rglob("*")) == ["adir"]
 
 
 def _reference_trace_csv(trace) -> str:
@@ -409,15 +454,21 @@ def test_certificate_matches_golden_file(name, in_tmp, monkeypatch, capsys):
         python -m cone_fixpoint.cli certify --builtin NEAR_ONE --seed 5 \\
           --out tests/data/golden/NEAR_ONE.json
 
-    Any other difference is a change of the certificate contract.
+    Any other difference is a change of the certificate contract.  The
+    environment plays no part: the bytes are the same whether
+    ``CONE_FIXPOINT_TOL`` is set or not.
     """
-    monkeypatch.delenv("CONE_FIXPOINT_TOL", raising=False)
     argv = ["certify", "--builtin", name, "--seed", "5", "--out", "cert.json"]
     if name != "NEAR_ONE":
         argv.append("--full")
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert (in_tmp / "cert.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    for value in (None, "0", "0.5"):
+        if value is None:
+            monkeypatch.delenv("CONE_FIXPOINT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("CONE_FIXPOINT_TOL", value)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert (in_tmp / "cert.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, capsys):
@@ -425,7 +476,6 @@ def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, cap
     check's summary from the filter and never fills the (witnesses, points)
     residual matrix; ``--full`` fills it once, and its rows give the same
     summary as the whole-matrix minimum."""
-    monkeypatch.delenv("CONE_FIXPOINT_TOL", raising=False)
     spec, x0 = _random_affine(12, seed=8)
     problem = {"dimension": 12, "lambda": spec.lam, "map": map_to_dict(spec),
                "x0": x0.tolist(), "eps": 1e-9}

@@ -97,18 +97,7 @@ class TestTolerancePolicy:
         assert type(tol.margin(0.5)) is float
         assert tol.margin(scales[:0]).shape == (0,)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CONE_FIXPOINT_TOL", "1e-6")
-        tol = TolerancePolicy.default()
-        assert tol.atol == 1e-6 and tol.rtol == 1e-6
-
-    def test_env_bad_value(self, monkeypatch):
-        monkeypatch.setenv("CONE_FIXPOINT_TOL", "not-a-float")
-        with pytest.raises(InvalidInputError):
-            TolerancePolicy.default()
-
-    def test_env_unset_gives_defaults(self, monkeypatch):
-        monkeypatch.delenv("CONE_FIXPOINT_TOL", raising=False)
+    def test_env_unset_gives_defaults(self):
         tol = TolerancePolicy.default()
         assert tol.atol == 1e-12 and tol.rtol == 1e-12
 

@@ -151,6 +151,40 @@ class TestTraceCsv:
         with pytest.raises(ProblemFileError):
             read_trace_csv(str(path), AFFINE)
 
+    def test_header_only_has_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(trace_csv_header(1)) + "\n")
+        with pytest.raises(ProblemFileError, match="trace has no rows"):
+            read_trace_csv(str(path), AFFINE)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        trace = run(AFFINE, [0.0], FixedCount(3))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+        loaded = read_trace_csv(str(path), AFFINE, x0=[0.0])
+        assert np.array_equal(loaded.xs, trace.xs)
+        assert np.array_equal(loaded.ts, trace.ts)
+
+    @pytest.mark.parametrize("cut", [1, -1])  # a cell short, a cell over
+    def test_wrong_cell_count_is_malformed_row(self, tmp_path, cut):
+        path = tmp_path / "t.csv"
+        write_trace_csv(run(AFFINE, [0.0], FixedCount(2)), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][: lines[2].rindex(",")] if cut == 1 else lines[2] + ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProblemFileError, match="malformed row"):
+            read_trace_csv(str(path), AFFINE, x0=[0.0])
+
+    def test_row_0_is_the_start_without_x0(self, tmp_path):
+        trace = run(AFFINE, [1.0], FixedCount(3))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, str(path))
+        loaded = read_trace_csv(str(path), AFFINE)
+        assert loaded.x0.tolist() == [1.0]
+        assert loaded.d == trace.d == 0.5
+
 
 class TestProblemJson:
     def base(self, **overrides):
