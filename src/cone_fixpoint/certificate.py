@@ -141,12 +141,6 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     points and their floors are then computed for all samples at once, bit
     for bit what :func:`norm` and :func:`omega_t_floor` give at each.
     """
-    return _sample_omega(om, count, seed)[0]
-
-
-def _sample_omega(om: OmegaSpec, count: int, seed: int):
-    """:func:`sample_omega`'s points, with their drift and residual bounds
-    (:func:`_omega_bounds_rows`)."""
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if seed < 0:
@@ -167,15 +161,14 @@ def _sample_omega(om: OmegaSpec, count: int, seed: int):
     xs = om.x0 + (radii / norm_each_row(us))[:, None] * us
     if not np.isfinite(xs).all():
         raise InvalidInputError("vector coordinates must be finite")
-    bounds = _omega_bounds_rows(om, xs)
-    floors = np.maximum(*bounds)
+    floors = np.maximum(*_omega_bounds_rows(om, xs))
     if np.isnan(floors).any():
         raise InvalidInputError(NON_FINITE_NORM)
     ts = floors + offsets
     if not np.isfinite(ts).all():
         raise InvalidInputError("t must be finite")
     xs.setflags(write=False)
-    return [AugmentedPoint._trusted(x, t) for x, t in zip(xs, ts.tolist())], bounds
+    return [AugmentedPoint._trusted(x, t) for x, t in zip(xs, ts.tolist())]
 
 
 def default_witnesses(om: OmegaSpec, count: int = DEFAULT_WITNESS_SAMPLES, seed: int = 0):
@@ -244,28 +237,20 @@ class ConvergenceCertificate:
 
 
 def _refuse_non_members(
-    om: OmegaSpec, witnesses: tuple[AugmentedPoint, ...], tol: TolerancePolicy,
-    known_bounds: tuple[np.ndarray, np.ndarray] | None = None,
+    om: OmegaSpec, witnesses: tuple[AugmentedPoint, ...], tol: TolerancePolicy
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check every witness for membership in one array pass and return their
     stacked x (W, m) and t (W,).
 
-    ``known_bounds`` may hold the :func:`_omega_bounds_rows` of the last
-    witnesses, as computed when they were sampled; the map is then applied
-    only to the others.  The error raised is the one the per-witness
-    definition meets first: a dimension mismatch, a non-finite norm inside
-    :func:`omega_bounds`, or a non-member (:class:`InvalidWitnessError`
-    with its index).
+    The error raised is the one the per-witness definition meets first: a
+    dimension mismatch, a non-finite norm inside :func:`omega_bounds`, or a
+    non-member (:class:`InvalidWitnessError` with its index).
     """
     m = om.spec.dimension
     k = next((i for i, w in enumerate(witnesses) if w.dimension != m), len(witnesses))
     wx = np.array([w.x for w in witnesses[:k]]).reshape(k, m)
     wt = np.array([w.t for w in witnesses[:k]], dtype=float)
-    if known_bounds is None:
-        drift, residual = _omega_bounds_rows(om, wx)
-    else:
-        fresh = _omega_bounds_rows(om, wx[: k - known_bounds[0].size])
-        drift, residual = (np.concatenate(pair) for pair in zip(fresh, known_bounds))
+    drift, residual = _omega_bounds_rows(om, wx)
     margin = tol.margin(wt)
     raised = np.isnan(drift) | np.isnan(residual)
     bad = raised | ~((wt - drift >= -margin) & (wt - residual >= -margin))
@@ -412,11 +397,12 @@ def verify_certificate(
     """Verify a trace against witnesses and return the certificate.
 
     When ``witnesses`` is None the default set (canonical + sampled) is
-    used.  Witnesses are first checked for membership in the bounding set;
-    a non-member raises :class:`InvalidWitnessError` with its index, since
-    bounds obtained from a non-member certify nothing.  A trace holding a
-    non-finite value (its arrays written to after construction) is refused
-    with :class:`InvalidInputError` naming the row.
+    used; its members belong to the bounding set by construction.  Witnesses
+    the caller passes are first checked for membership; a non-member raises
+    :class:`InvalidWitnessError` with its index, since bounds obtained from
+    a non-member certify nothing.  A trace holding a non-finite value (its
+    arrays written to after construction) is refused with
+    :class:`InvalidInputError` naming the row.
 
     Each check runs on whole arrays; every residual and verdict is bit for
     bit what the per-witness, per-step definition in the module docstring
@@ -432,12 +418,13 @@ def verify_certificate(
     xs, ts = trace.xs, trace.ts
     refuse_non_finite_rows(xs, ts)
 
-    known_bounds = None
     if witnesses is None:
-        samples, known_bounds = _sample_omega(om, omega_sample_count, seed)
-        witnesses = [canonical_omega_witness(om)] + samples
-    witnesses = tuple(witnesses)
-    wx, wt = _refuse_non_members(om, witnesses, tol, known_bounds)
+        # Members by construction (see sample_omega and canonical_omega_witness).
+        witnesses = tuple(default_witnesses(om, omega_sample_count, seed))
+        wx, wt = np.array([w.x for w in witnesses]), np.array([w.t for w in witnesses])
+    else:
+        witnesses = tuple(witnesses)
+        wx, wt = _refuse_non_members(om, witnesses, tol)
 
     n_points, m = xs.shape
     n_steps = n_points - 1
@@ -446,20 +433,17 @@ def verify_certificate(
     x_star = xs[-1]
     limit_point = AugmentedPoint(x_star, t_star)
 
-    failures: list[tuple[int, str]] = []  # (priority, message), earliest index wins
+    failures: list[str] = []  # in check order; the first is reported
     # Every predicate below is phrased fail-closed, as "not (passes)", so a
     # NaN residual or margin can never count as a pass.
 
     # (a) monotone: each step's t increment must dominate the step norm.
     dts = np.diff(ts)
-    step_norms = row_norms(np.diff(xs, axis=0)) if n_steps else np.zeros(0)
-    monotone_residuals = dts - step_norms
+    monotone_residuals = dts - row_norms(np.diff(xs, axis=0))
     bad = np.nonzero(~(monotone_residuals >= -tol.margin(dts)))[0]
     if bad.size:
         n = int(bad[0])
-        failures.append(
-            (0, f"monotone check failed at step {n} (residual {monotone_residuals[n]:.6e})")
-        )
+        failures.append(f"monotone check failed at step {n} (residual {monotone_residuals[n]:.6e})")
 
     # (b) bounded: every witness dominates every trace point.  Below
     # PAIRWISE_SUM_MIN_COLUMNS columns the whole residual matrix is cheap and
@@ -479,7 +463,7 @@ def verify_certificate(
         def witness_residuals():
             return tuple(_bounded_residuals(wx, wt, xs, ts))
     if bounded_failure is not None:
-        failures.append((1, bounded_failure))
+        failures.append(bounded_failure)
 
     # (c) limit: (x*, t*) below every witness, with slack inflated by the
     # certified distance from x^N to the true fixed point, and f(x*) ~ x*.
@@ -489,34 +473,26 @@ def verify_certificate(
     bad = np.nonzero(~(lower >= -(stop_bound + tol.margin(wt - t_star))))[0]
     if bad.size:
         i = int(bad[0])
-        failures.append((2, f"limit check failed for witness {i} (residual {lower[i]:.6e})"))
+        failures.append(f"limit check failed for witness {i} (residual {lower[i]:.6e})")
     fp_residual = norm(evaluate(spec, x_star) - x_star)
     fp_tolerance = lam**n_steps * d + tol.margin(norm(x_star))
     if not (fp_residual <= fp_tolerance):
-        failures.append(
-            (2, f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
-        )
+        failures.append(f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
 
     # (d) consistency: the points must actually satisfy the recurrences.
     consistency_x = np.zeros(n_points)
     consistency_t = np.zeros(n_points)
     consistency_x[0] = norm(xs[0] - x0)
     consistency_t[0] = abs(ts[0])
-    if n_steps:
-        consistency_x[1:] = row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
-        consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
+    consistency_x[1:] = row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
+    consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
     x_margin = tol.margin(row_norms(xs))
     t_margin = tol.margin(ts)
     bad = np.nonzero(~((consistency_x <= x_margin) & (consistency_t <= t_margin)))[0]
     if bad.size:
         n = int(bad[0])
-        failures.append(
-            (3, f"trace consistency failed at point {n} "
-                f"(x echo {consistency_x[n]:.6e}, t echo {consistency_t[n]:.6e})")
-        )
-
-    failures.sort(key=lambda f: f[0])
-    first_failure = failures[0][1] if failures else None
+        failures.append(f"trace consistency failed at point {n} "
+                        f"(x echo {consistency_x[n]:.6e}, t echo {consistency_t[n]:.6e})")
 
     return ConvergenceCertificate(
         n_steps=n_steps,
@@ -535,6 +511,6 @@ def verify_certificate(
         fixed_point_residual=fp_residual,
         fixed_point_tolerance=fp_tolerance,
         passed=not failures,
-        first_failure=first_failure,
+        first_failure=failures[0] if failures else None,
         bounded_summary=bounded_summary,
     )

@@ -40,16 +40,21 @@ RUN_PARAM_KEYS = ("rule", "eps", "max_iterations", "seed")
 
 
 def write_text_atomic(path: str, text: str):
-    """Write via a temp file in the same directory, then rename over the target."""
+    """Write via a temp file in the same directory, then rename over the
+    target.  An :class:`OSError` is raised again naming ``path``, not the
+    temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -58,6 +58,13 @@ class TestSolve:
         assert main(["solve", "--list", "--builtin", "AFFINE_1D"]) == 0
         assert "ROTATION_2D" in capsys.readouterr().out
 
+    def test_list_needs_no_problem_source(self, in_tmp, capsys):
+        assert main(["solve", "--list"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == [p.name for p in builtin_catalog()]
+        assert main(["solve"]) == 2
+        assert "one of the arguments --builtin --problem is required" in capsys.readouterr().err
+
     def test_summary_reports_bound(self, in_tmp, capsys):
         main(["solve", "--builtin", "AFFINE_1D", "--eps", "0.25", "--out", "t.csv"])
         out = capsys.readouterr().out
@@ -385,6 +392,9 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno")
+        # the message names the path given, not the temp file beside it
+        assert captured.err.rstrip().endswith(f"'{out}'")
+        assert ".tmp-" not in captured.err
         assert sorted(p.name for p in in_tmp.rglob("*")) == ["adir"]
 
 
@@ -504,14 +514,15 @@ def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, cap
 
 
 def test_certify_reuses_the_sampled_omega_bounds(in_tmp, monkeypatch, capsys):
-    """``certify`` lets the verifier sample its witnesses, so the membership
-    check applies the map again only at the canonical witness."""
+    """``certify`` lets the verifier sample its witnesses, which are members
+    by construction: the map is applied once per sampled point and at no
+    other witness."""
     counts = []
     bounds_rows = certificate._omega_bounds_rows
     monkeypatch.setattr(certificate, "_omega_bounds_rows",
                         lambda om, xs: counts.append(xs.shape[0]) or bounds_rows(om, xs))
     assert main(["certify", "--builtin", "ROTATION_2D", "--omega-samples", "9",
                  "--out", "cert.json"]) == 0
-    assert counts == [9, 1]
+    assert counts == [9]
     assert len(json.loads((in_tmp / "cert.json").read_text())["witnesses"]) == 10
     capsys.readouterr()
