@@ -148,6 +148,8 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     rng = np.random.default_rng(seed)
     m = om.x0.size
     radius = 10.0 * max(1.0, om.t_star)
+    if not math.isfinite(radius):
+        raise InvalidInputError(f"sampling radius 10 max(1, t*) overflows at t* = {om.t_star:.6e}")
     us = np.empty((count, m))
     radii = np.empty(count)
     offsets = np.empty(count)
@@ -236,34 +238,19 @@ class ConvergenceCertificate:
             object.__setattr__(self, "bounded_summary", _summary_of_rows(self.witness_residuals))
 
 
-def _refuse_non_members(
-    om: OmegaSpec, witnesses: tuple[AugmentedPoint, ...], tol: TolerancePolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check every witness for membership in one array pass and return their
-    stacked x (W, m) and t (W,).
+def _refuse_non_members(om: OmegaSpec, witnesses, tol: TolerancePolicy):
+    """Check each witness in turn for membership in the bounding set.
 
-    The error raised is the one the per-witness definition meets first: a
-    dimension mismatch, a non-finite norm inside :func:`omega_bounds`, or a
-    non-member (:class:`InvalidWitnessError` with its index).
+    The first offending witness raises :class:`DimensionMismatchError` (wrong
+    dimension), :class:`InvalidInputError` (a non-finite norm in omega_bounds)
+    or :class:`InvalidWitnessError` with its index (not a member).
     """
     m = om.spec.dimension
-    k = next((i for i, w in enumerate(witnesses) if w.dimension != m), len(witnesses))
-    wx = np.array([w.x for w in witnesses[:k]]).reshape(k, m)
-    wt = np.array([w.t for w in witnesses[:k]], dtype=float)
-    drift, residual = _omega_bounds_rows(om, wx)
-    margin = tol.margin(wt)
-    raised = np.isnan(drift) | np.isnan(residual)
-    bad = raised | ~((wt - drift >= -margin) & (wt - residual >= -margin))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if raised[i]:
-            raise InvalidInputError(NON_FINITE_NORM)
-        raise InvalidWitnessError(f"witness {i} is not a member of the bounding set", index=i)
-    if k < len(witnesses):
-        raise DimensionMismatchError(
-            f"witness {k} has dimension {witnesses[k].dimension}, expected {m}"
-        )
-    return wx, wt
+    for i, w in enumerate(witnesses):
+        if w.dimension != m:
+            raise DimensionMismatchError(f"witness {i} has dimension {w.dimension}, expected {m}")
+        if not omega_contains(om, w, tol):
+            raise InvalidWitnessError(f"witness {i} is not a member of the bounding set", index=i)
 
 
 def _bounded_residuals(wx, wt, xs, ts) -> np.ndarray:
@@ -421,10 +408,11 @@ def verify_certificate(
     if witnesses is None:
         # Members by construction (see sample_omega and canonical_omega_witness).
         witnesses = tuple(default_witnesses(om, omega_sample_count, seed))
-        wx, wt = np.array([w.x for w in witnesses]), np.array([w.t for w in witnesses])
     else:
         witnesses = tuple(witnesses)
-        wx, wt = _refuse_non_members(om, witnesses, tol)
+        _refuse_non_members(om, witnesses, tol)
+    wx = np.array([w.x for w in witnesses]).reshape(len(witnesses), spec.dimension)
+    wt = np.array([w.t for w in witnesses], dtype=float)
 
     n_points, m = xs.shape
     n_steps = n_points - 1

@@ -249,14 +249,15 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     ``spec`` and ``x0`` are validated once, at entry; the loop then works on
     raw float64 arrays and the finished trace is checked for finiteness as a
     whole by :class:`IterationTrace`.  The first step norm d is computed once
-    and then frozen into the scalar recurrence.  When the step count N is
-    known in advance (``APriori``, ``FixedCount``) the (N+1, m) and (N+1,)
-    buffers are preallocated and no step norm is computed.  ``APosteriori``
-    writes its rows into buffers that double when full, and decides its stop
-    test from one dot product per step, taking the step norm only where
-    that cannot settle the test (a step near the stop, or a non-finite or
-    overflowing one), so it stops exactly where a test on every step's
-    norm would.  A run that exhausts its
+    and then frozen into the scalar recurrence.  The rule only sets where
+    the one stepping loop ends: when the step count N is known in advance
+    (``APriori``, ``FixedCount``, or N = 0 at an exact fixed point) the
+    (N+1, m) and (N+1,) buffers are allocated once and no step norm is
+    computed.  ``APosteriori`` starts from smaller buffers that double when
+    full, and decides its stop test from one dot product per step, taking
+    the step norm only where that cannot settle the test (a step near the
+    stop, or a non-finite or overflowing one), so it stops exactly where a
+    test on every step's norm would.  A run that exhausts its
     ``max_iterations`` guard is returned truncated and flagged
     MAX_ITERATIONS rather than raising, so the partial trace is never lost.
     """
@@ -277,65 +278,51 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     x1 = evaluate(spec, x0)
     d = norm(x1 - x0)
 
-    if d == 0.0:
-        return IterationTrace(
-            spec=spec, x0=x0, d=0.0,
-            xs=x0[None, :].copy(), ts=np.zeros(1),
-            stop_reason=StopReason.EXACT_FIXED_POINT, warnings=warnings,
-        )
-
+    # steps is the step count when known in advance, None when the
+    # a-posteriori test decides it on the fly.
     if isinstance(rule, APriori):
-        target = a_priori_iterations(d, spec.lam, rule.eps)
-        steps = min(target, rule.max_iterations)
-        reason = StopReason.A_PRIORI if target <= rule.max_iterations else StopReason.MAX_ITERATIONS
+        steps, reason = a_priori_iterations(d, spec.lam, rule.eps), StopReason.A_PRIORI
     elif isinstance(rule, FixedCount):
-        steps = min(rule.count, rule.max_iterations)
-        reason = StopReason.FIXED_COUNT if rule.count <= rule.max_iterations else StopReason.MAX_ITERATIONS
+        steps, reason = rule.count, StopReason.FIXED_COUNT
     elif isinstance(rule, APosteriori):
-        steps = None  # decided on the fly
-        reason = StopReason.A_POSTERIORI
+        steps, reason = None, StopReason.A_POSTERIORI
     else:
         raise InvalidInputError(f"unknown stopping rule {rule!r}")
+    if d == 0.0:
+        steps, reason = 0, StopReason.EXACT_FIXED_POINT
+    elif steps is not None and steps > rule.max_iterations:
+        steps, reason = rule.max_iterations, StopReason.MAX_ITERATIONS
 
     apply, lam = spec._apply, spec.lam
-    x, t = x0, 0.0
-    if steps is not None:
-        xs = np.empty((steps + 1, x0.size))
-        ts = np.empty(steps + 1)
-        xs[0], ts[0] = x0, 0.0
-        for n in range(1, steps + 1):
-            x = apply(x) if n > 1 else x1
-            t = lam * t + d
-            xs[n] = x
-            ts[n] = t
-    else:
+    if steps is None:
+        last, rows = rule.max_iterations, min(INITIAL_ROWS, rule.max_iterations + 1)
         stop_factor, eps = lam / gap, rule.eps
         skip_above = _skip_threshold(eps, stop_factor, x0.size)
-        limit = rule.max_iterations + 1
-        xs = np.empty((min(INITIAL_ROWS, limit), x0.size))
-        ts = np.empty(xs.shape[0])
-        xs[0], ts[0] = x0, 0.0
-        n = 0
-        while True:
-            x_next = apply(x) if n else x1
-            t = lam * t + d
+    else:
+        last, rows = steps, steps + 1
+    xs = np.empty((rows, x0.size))
+    ts = np.empty(rows)
+    xs[0], ts[0] = x0, 0.0
+    x, t, n = x0, 0.0, 0
+    for n in range(1, last + 1):
+        x_next = apply(x) if n > 1 else x1
+        t = lam * t + d
+        if n == rows:
+            xs, ts = _grown(xs, last + 1), _grown(ts, last + 1)
+            rows = xs.shape[0]
+        xs[n] = x_next
+        ts[n] = t
+        if steps is None:
             diff = x_next - x
-            x = x_next
-            n += 1
-            if n == xs.shape[0]:
-                xs, ts = _grown(xs, limit), _grown(ts, limit)
-            xs[n] = x
-            ts[n] = t
             # np.vdot, unlike np.dot, does not warn when the squares overflow
             if not (skip_above < float(np.vdot(diff, diff)) < math.inf):
                 if stop_factor * norm(diff) <= eps:
                     break
-            if n >= rule.max_iterations:
+            if n == last:
                 reason = StopReason.MAX_ITERATIONS
-                break
-        xs, ts = xs[: n + 1], ts[: n + 1]
+        x = x_next
 
     return IterationTrace(
-        spec=spec, x0=x0, d=d, xs=xs, ts=ts,
+        spec=spec, x0=x0, d=d, xs=xs[: n + 1], ts=ts[: n + 1],
         stop_reason=reason, warnings=warnings,
     )

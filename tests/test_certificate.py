@@ -136,6 +136,13 @@ class TestSampleOmega:
             with pytest.raises(ValueError):
                 w.x[0] = 0.0
 
+    def test_overflowing_radius_refused(self):
+        # t* = 2e307 is finite, but the sampling radius 10 t* overflows
+        om = OmegaSpec.for_problem(Affine(a=[[0.5]], b=[1e307], lam=0.5), [0.0])
+        assert om.t_star == 2e307
+        with pytest.raises(InvalidInputError, match="^sampling radius 10 max"):
+            sample_omega(om, 4, seed=0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_floor_refused(self):
         # t* = 1e300 is finite, but the floor of a sample far out overflows
@@ -597,30 +604,34 @@ class TestSameBitsAsPerWitnessVerifier:
 class TestSampledWitnessBoundsReused:
     """When verify_certificate samples its own witnesses it applies the map
     once per sampled point, to build it, and does not re-check them;
-    supplied witnesses are checked in full."""
+    supplied witnesses are checked in full, one omega_bounds call each."""
 
-    def _row_counts(self, monkeypatch):
-        counts = []
-        original = certificate._omega_bounds_rows
+    def _counted(self, monkeypatch, name):
+        """The shapes of the points passed to ``certificate.<name>``, one
+        entry per call."""
+        calls = []
+        original = getattr(certificate, name)
 
-        def counted(om, xs):
-            counts.append(xs.shape[0])
-            return original(om, xs)
+        def counted(om, x):
+            calls.append(np.shape(x))
+            return original(om, x)
 
-        monkeypatch.setattr(certificate, "_omega_bounds_rows", counted)
-        return counts
+        monkeypatch.setattr(certificate, name, counted)
+        return calls
 
     @pytest.mark.parametrize("m", [1, 2, 9, 50])
     def test_map_applied_once_more_only_at_the_canonical_witness(self, m, monkeypatch):
         spec, x0 = _affine(m, seed=600 + m)
         trace = run(spec, x0, APosteriori(1e-8))
-        counts = self._row_counts(monkeypatch)
+        rows = self._counted(monkeypatch, "_omega_bounds_rows")
+        points = self._counted(monkeypatch, "omega_bounds")
         own = verify_certificate(trace, omega_sample_count=16, seed=4)
-        assert counts == [16]
-        del counts[:]
+        assert (rows, points) == ([(16, m)], [])
         om = OmegaSpec.for_problem(spec, x0)
-        supplied = verify_certificate(trace, certificate.default_witnesses(om, 16, seed=4))
-        assert counts == [16, 17]
+        witnesses = certificate.default_witnesses(om, 16, seed=4)
+        del rows[:]
+        supplied = verify_certificate(trace, witnesses)
+        assert (rows, points) == ([], [(m,)] * 17)
         for field in dataclasses.fields(ConvergenceCertificate):
             assert _bits(getattr(own, field.name)) == _bits(getattr(supplied, field.name)), field.name
 

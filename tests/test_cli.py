@@ -326,6 +326,19 @@ class TestProblemFiles:
         assert message in capsys.readouterr().err
         assert not (in_tmp / "cert.json").exists()
 
+    def test_overflowing_sampling_radius_is_usage_error(self, in_tmp, capsys):
+        # t* = 2e307, so the witnesses' sampling radius 10 t* overflows
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.5,
+            "map": {"kind": "affine", "A": [[0.5]], "b": [1e307]},
+            "x0": [0.0],
+        })
+        assert main(["certify", "--problem", path, "--out", "cert.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampling radius") and err.count("\n") == 1
+        assert not (in_tmp / "cert.json").exists()
+
     def test_clustered_spectrum_certifies(self, in_tmp, capsys):
         # Top singular values 1e-6 apart, the larger one equal to lambda.
         path = self.write_problem(in_tmp, {

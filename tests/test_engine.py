@@ -110,6 +110,12 @@ class TestRun:
         assert trace.d == 0.0
         np.testing.assert_array_equal(trace.xs, [[2.0]])
 
+    @pytest.mark.parametrize("x0", [[2.0], [0.0]])
+    def test_unknown_rule_refused_at_any_start(self, x0):
+        # x0 = 2 is FIXED_START's exact fixed point, where d = 0
+        with pytest.raises(InvalidInputError, match="^unknown stopping rule 'bogus'$"):
+            run(builtin("FIXED_START").spec, x0, "bogus")
+
     def test_apriori_stops_at_bound(self):
         trace = run(AFFINE, [0.0], APriori(0.25))
         assert trace.stop_reason is StopReason.A_PRIORI
@@ -298,6 +304,9 @@ RULES = [
     APriori(1e-10, max_iterations=7),
     APosteriori(1e-10, max_iterations=7),
     FixedCount(200, max_iterations=7),
+    APriori(1e-10, max_iterations=1),
+    APosteriori(1e-10, max_iterations=1),
+    FixedCount(200, max_iterations=1),
     FixedCount(0),
 ]
 
