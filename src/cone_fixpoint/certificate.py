@@ -64,6 +64,7 @@ class OmegaSpec:
             raise InvalidInputError(f"d must be finite and >= 0, got {self.d}")
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def for_problem(cls, spec: ContractionSpec, x0) -> "OmegaSpec":
         x0 = as_vector(x0)
         d = norm(evaluate(spec, x0) - x0)
@@ -79,6 +80,7 @@ class OmegaSpec:
         return self.d / (1.0 - self.spec.lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def omega_bounds(om: OmegaSpec, x) -> tuple[float, float]:
     """The two lower bounds Omega imposes on t at the point x."""
     x = as_vector(x)
@@ -91,6 +93,7 @@ def omega_bounds(om: OmegaSpec, x) -> tuple[float, float]:
     return drift, (om.d + residual) / (1.0 - om.spec.lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _omega_bounds_rows(om: OmegaSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`omega_bounds` at each row of the (k, m) array ``xs``, bit for
     bit, with NaN where :func:`norm` would raise.  The map is applied point
@@ -105,8 +108,7 @@ def _omega_bounds_rows(om: OmegaSpec, xs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def omega_t_floor(om: OmegaSpec, x) -> float:
     """Smallest t for which (x, t) belongs to the bounding set."""
-    b1, b2 = omega_bounds(om, x)
-    return max(b1, b2)
+    return max(omega_bounds(om, x))
 
 
 def omega_contains(
@@ -115,9 +117,7 @@ def omega_contains(
     """Membership test: t must dominate both bounds within the policy's slack."""
     if tol is None:
         tol = TolerancePolicy.default()
-    b1, b2 = omega_bounds(om, candidate.x)
-    margin = tol.margin(candidate.t)
-    return candidate.t - b1 >= -margin and candidate.t - b2 >= -margin
+    return omega_t_floor(om, candidate.x) - candidate.t <= tol.margin(candidate.t)
 
 
 def canonical_omega_witness(om: OmegaSpec) -> AugmentedPoint:
@@ -127,7 +127,11 @@ def canonical_omega_witness(om: OmegaSpec) -> AugmentedPoint:
     so membership holds with equality in the second bound. With d = 0 this
     degenerates to (x0, 0), the apex case.
     """
-    return AugmentedPoint(om.x0, 2.0 * om.d / (1.0 - om.spec.lam))
+    t = 2.0 * om.d / (1.0 - om.spec.lam)
+    if not math.isfinite(t):
+        raise InvalidInputError(f"canonical witness t = 2 d / (1 - lambda) overflows at "
+                                f"d = {om.d:.6e}, lambda = {om.spec.lam!r}")
+    return AugmentedPoint(om.x0, t)
 
 
 def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
@@ -253,6 +257,14 @@ def _refuse_non_members(om: OmegaSpec, witnesses, tol: TolerancePolicy):
             raise InvalidWitnessError(f"witness {i} is not a member of the bounding set", index=i)
 
 
+def _first_excess(excess, allowed) -> int | None:
+    """The first index where ``excess`` is not within ``allowed`` (in any
+    row, for stacked rows), or None: the one verdict rule of every check,
+    fail-closed as "not (excess <= allowed)", so that a NaN fails."""
+    bad = np.flatnonzero(np.atleast_2d(~np.less_equal(excess, allowed)).any(axis=0))
+    return int(bad[0]) if bad.size else None
+
+
 def _bounded_residuals(wx, wt, xs, ts) -> np.ndarray:
     """The bounded check's (W, N+1) residual matrix ``w.t - t^n -
     ||w.x - x^n||``, row i for witness i, filled a block of witnesses at a
@@ -332,18 +344,6 @@ def _undecided_or_near_min(wx, wt, xs, ts) -> np.ndarray:
         return ~decided | (gaps - np.sqrt(upper) <= highest.min(initial=np.inf))
 
 
-def _bounded_failure(i, n, resid, wt, ts, tol) -> str | None:
-    """The message for the first failing pair among the pairs (i[k], n[k]),
-    given in (witness, step) order with residuals that are < 0 or NaN; the
-    margin lives on the scale of the gap w.t - t^n."""
-    gaps = wt[i] - ts[n]
-    bad = np.nonzero(~(resid >= -tol.margin(gaps)))[0]
-    if not bad.size:
-        return None
-    k = bad[0]
-    return f"bounded check failed for witness {i[k]} at step {n[k]} (residual {resid[k]:.6e})"
-
-
 def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
     """:func:`_summary_of_rows` of the whole residual matrix from the exact
     residuals ``resid`` of the pairs with flat indices ``pairs`` (w (N+1) + n,
@@ -361,18 +361,31 @@ def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
     return BoundedSummary(wt.size * ts.size, low, w, n)
 
 
-def _filtered_bounded_check(wx, wt, xs, ts, tol) -> tuple[str | None, BoundedSummary]:
-    """The bounded check's first failure and summary, from at least
-    PAIRWISE_SUM_MIN_COLUMNS columns on, with exact residuals only at the
-    pairs the filter leaves."""
-    pairs = np.flatnonzero(_undecided_or_near_min(wx, wt, xs, ts))
-    i, n = np.divmod(pairs, ts.size)
-    resid = _pair_residuals(wx, wt, xs, ts, i, n)
-    low = ~(resid >= 0.0)
-    return (_bounded_failure(i[low], n[low], resid[low], wt, ts, tol),
-            _summary_of_pairs(wx, wt, xs, ts, resid, pairs))
+def _bounded_check(wx, wt, xs, ts, tol):
+    """The bounded check's first failure, its summary and its
+    ``witness_residuals``.  Only the pairs with exact residuals depend on
+    the width: below PAIRWISE_SUM_MIN_COLUMNS columns, every pair, the whole
+    matrix being cheap; from there on, the pairs the GEMM filter leaves, the
+    matrix being filled on first read."""
+    if xs.shape[1] < PAIRWISE_SUM_MIN_COLUMNS:
+        residuals = _bounded_residuals(wx, wt, xs, ts)
+        pairs, resid, witness_residuals = None, residuals.ravel(), tuple(residuals)
+    else:
+        pairs = np.flatnonzero(_undecided_or_near_min(wx, wt, xs, ts))
+        resid = _pair_residuals(wx, wt, xs, ts, *np.divmod(pairs, ts.size))
+
+        def witness_residuals():
+            return tuple(_bounded_residuals(wx, wt, xs, ts))
+    low = np.flatnonzero(~(resid >= 0.0))  # a margin is >= 0, so a residual >= 0 passes
+    i, n = np.divmod(low if pairs is None else pairs[low], ts.size)
+    # the margin lives on the scale of the gap w.t - t^n
+    k = _first_excess(-resid[low], tol.margin(wt[i] - ts[n]))
+    failure = None if k is None else (f"bounded check failed for witness {i[k]} at step {n[k]} "
+                                      f"(residual {resid[low[k]]:.6e})")
+    return failure, _summary_of_pairs(wx, wt, xs, ts, resid, pairs), witness_residuals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_certificate(
     trace: IterationTrace,
     witnesses: list[AugmentedPoint] | None = None,
@@ -414,42 +427,25 @@ def verify_certificate(
     wx = np.array([w.x for w in witnesses]).reshape(len(witnesses), spec.dimension)
     wt = np.array([w.t for w in witnesses], dtype=float)
 
-    n_points, m = xs.shape
-    n_steps = n_points - 1
+    n_steps = ts.size - 1
     t_star = om.t_star
     stop_bound = lam**n_steps * t_star
     x_star = xs[-1]
     limit_point = AugmentedPoint(x_star, t_star)
 
     failures: list[str] = []  # in check order; the first is reported
-    # Every predicate below is phrased fail-closed, as "not (passes)", so a
-    # NaN residual or margin can never count as a pass.
+    # Each verdict below is _first_excess of the check's excess (a negated
+    # residual, or an echo) against the margin it is allowed.
 
     # (a) monotone: each step's t increment must dominate the step norm.
     dts = np.diff(ts)
     monotone_residuals = dts - row_norms(np.diff(xs, axis=0))
-    bad = np.nonzero(~(monotone_residuals >= -tol.margin(dts)))[0]
-    if bad.size:
-        n = int(bad[0])
+    n = _first_excess(-monotone_residuals, tol.margin(dts))
+    if n is not None:
         failures.append(f"monotone check failed at step {n} (residual {monotone_residuals[n]:.6e})")
 
-    # (b) bounded: every witness dominates every trace point.  Below
-    # PAIRWISE_SUM_MIN_COLUMNS columns the whole residual matrix is cheap and
-    # is filled at once; from there on a GEMM filter decides most pairs, the
-    # rest are recomputed exactly, and the matrix is filled on first read.
-    if m < PAIRWISE_SUM_MIN_COLUMNS:
-        residuals = _bounded_residuals(wx, wt, xs, ts)
-        bounded_failure = None
-        if not (residuals >= 0.0).all():  # a margin is >= 0, so a residual >= 0 passes
-            i, n = np.nonzero(~(residuals >= 0.0))
-            bounded_failure = _bounded_failure(i, n, residuals[i, n], wt, ts, tol)
-        bounded_summary = _summary_of_pairs(wx, wt, xs, ts, residuals.ravel())
-        witness_residuals = tuple(residuals)
-    else:
-        bounded_failure, bounded_summary = _filtered_bounded_check(wx, wt, xs, ts, tol)
-
-        def witness_residuals():
-            return tuple(_bounded_residuals(wx, wt, xs, ts))
+    # (b) bounded: every witness dominates every trace point.
+    bounded_failure, bounded_summary, witness_residuals = _bounded_check(wx, wt, xs, ts, tol)
     if bounded_failure is not None:
         failures.append(bounded_failure)
 
@@ -458,27 +454,22 @@ def verify_certificate(
     lower = (wt - t_star) - norm_each_row(wx - x_star)
     if np.isnan(lower).any():
         raise InvalidInputError(NON_FINITE_NORM)
-    bad = np.nonzero(~(lower >= -(stop_bound + tol.margin(wt - t_star))))[0]
-    if bad.size:
-        i = int(bad[0])
+    i = _first_excess(-lower, stop_bound + tol.margin(wt - t_star))
+    if i is not None:
         failures.append(f"limit check failed for witness {i} (residual {lower[i]:.6e})")
     fp_residual = norm(evaluate(spec, x_star) - x_star)
     fp_tolerance = lam**n_steps * d + tol.margin(norm(x_star))
-    if not (fp_residual <= fp_tolerance):
+    if _first_excess(fp_residual, fp_tolerance) is not None:
         failures.append(f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
 
     # (d) consistency: the points must actually satisfy the recurrences.
-    consistency_x = np.zeros(n_points)
-    consistency_t = np.zeros(n_points)
+    consistency_x, consistency_t = np.zeros(ts.size), np.zeros(ts.size)
     consistency_x[0] = norm(xs[0] - x0)
     consistency_t[0] = abs(ts[0])
     consistency_x[1:] = row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
     consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
-    x_margin = tol.margin(row_norms(xs))
-    t_margin = tol.margin(ts)
-    bad = np.nonzero(~((consistency_x <= x_margin) & (consistency_t <= t_margin)))[0]
-    if bad.size:
-        n = int(bad[0])
+    n = _first_excess((consistency_x, consistency_t), (tol.margin(row_norms(xs)), tol.margin(ts)))
+    if n is not None:
         failures.append(f"trace consistency failed at point {n} "
                         f"(x echo {consistency_x[n]:.6e}, t echo {consistency_t[n]:.6e})")
 

@@ -243,6 +243,7 @@ def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     """Run the augmented iteration from x0 under the given stopping rule.
 
@@ -260,6 +261,7 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     test on every step's norm would.  A run that exhausts its
     ``max_iterations`` guard is returned truncated and flagged
     MAX_ITERATIONS rather than raising, so the partial trace is never lost.
+    An overflowing map raises only the trace's non-finite-row error.
     """
     x0 = as_vector(x0)
     if x0.size != spec.dimension:

@@ -268,9 +268,6 @@ def certificate_doc(
     full: bool = False,
 ) -> dict:
     """Build the JSON-serializable certificate document."""
-    echo_x = np.max(cert.consistency_x) if cert.consistency_x.size else 0.0
-    echo_t = np.max(cert.consistency_t) if cert.consistency_t.size else 0.0
-
     doc = {
         "tool": "cone-fixpoint",
         "tool_version": __version__,
@@ -288,8 +285,8 @@ def certificate_doc(
             "limit": _summary(cert.lower_bound_residuals, "argmin_witness"),
             "consistency": {
                 "count": int(cert.consistency_x.size),
-                "max_x_echo": float(echo_x),
-                "max_t_echo": float(echo_t),
+                "max_x_echo": float(np.max(cert.consistency_x)),
+                "max_t_echo": float(np.max(cert.consistency_t)),
             },
             "fixed_point": {
                 "residual": float(cert.fixed_point_residual),

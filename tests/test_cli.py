@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cone_fixpoint
 from cone_fixpoint import Affine, APriori, FixedCount, builtin_catalog, norm, run
 from cone_fixpoint import certificate
 from cone_fixpoint.cli import main
@@ -15,6 +19,17 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     return header, rows
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter with Python's default warning
+    filters, as a user would, and return the finished process."""
+    src = str(Path(cone_fixpoint.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    code = "import sys; from cone_fixpoint.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-W", "default", "-c", code, *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -337,6 +352,63 @@ class TestProblemFiles:
         assert main(["certify", "--problem", path, "--out", "cert.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sampling radius") and err.count("\n") == 1
+        assert not (in_tmp / "cert.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_overflowing_map_prints_only_the_error(self, in_tmp, command):
+        # x^4 overflows: the engine's map evaluation must not warn
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.5,
+            "map": {"kind": "affine", "A": [[0.5]], "b": [1e308]},
+            "x0": [0.0],
+        })
+        proc = run_cli(command, "--problem", path, "--out", "out")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: trace row 4 has a non-finite value\n"
+
+    @pytest.mark.parametrize("command", [["solve"], ["certify"], ["omega", "--x", "0,0", "--t", "1"]],
+                             ids=["solve", "certify", "omega"])
+    def test_map_overflowing_at_x0_prints_only_the_error(self, in_tmp, command):
+        # f(x0) overflows, so d cannot be taken
+        path = self.write_problem(in_tmp, {
+            "dimension": 2,
+            "lambda": 0.9,
+            "map": {"kind": "affine", "A": [[0.6, 0.6], [0.0, 0.0]], "b": [1.0, 1.0]},
+            "x0": [1.79e308, 1.79e308],
+        })
+        proc = run_cli(*command, "--problem", path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot take the norm of a non-finite vector\n"
+
+    def test_overflowing_map_in_a_verified_trace_warns_nothing(self, in_tmp):
+        # f overflows at the finite row 1, and its step norm overflows: the
+        # verifier's evaluation and its checks fail the trace without a warning
+        path = self.write_problem(in_tmp, {
+            "dimension": 2,
+            "lambda": 0.9,
+            "map": {"kind": "affine", "A": [[0.6, 0.6], [0.0, 0.0]], "b": [1.0, 1.0]},
+            "x0": [0.0, 0.0],
+        })
+        (in_tmp / "trace.csv").write_text(
+            "n,x_0,x_1,t,step_norm,t_increment,mono_residual\n0,0,0,0,0,0,0\n"
+            "1,1.79e308,1.79e308,1.4142135623730951,0,0,0\n2,0,0,2.6870057685088806,0,0,0\n")
+        proc = run_cli("certify", "--problem", path, "--verify", "trace.csv", "--out", "c.json")
+        assert proc.returncode == 1
+        assert "first_failure  monotone check failed at step 0" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_overflowing_canonical_t_is_named(self, in_tmp, capsys):
+        # t* = 1.2e308 is finite, but the canonical witness's 2 t* overflows
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.5,
+            "map": {"kind": "affine", "A": [[0.5]], "b": [6e307]},
+            "x0": [0.0],
+        })
+        assert main(["certify", "--problem", path, "--out", "cert.json"]) == 2
+        assert capsys.readouterr().err == ("error: canonical witness t = 2 d / (1 - lambda) "
+                                           "overflows at d = 6.000000e+307, lambda = 0.5\n")
         assert not (in_tmp / "cert.json").exists()
 
     def test_clustered_spectrum_certifies(self, in_tmp, capsys):
