@@ -35,7 +35,7 @@ from .cone import (
     row_norms,
 )
 from .contraction import ContractionSpec, FilledOnFirstRead, evaluate, evaluate_batch
-from .engine import IterationTrace, refuse_non_finite_rows
+from .engine import IterationTrace, first_step, refuse_non_finite_rows
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessError
 
 DEFAULT_WITNESS_SAMPLES = 32
@@ -64,11 +64,9 @@ class OmegaSpec:
             raise InvalidInputError(f"d must be finite and >= 0, got {self.d}")
 
     @classmethod
-    @np.errstate(over="ignore", invalid="ignore")
     def for_problem(cls, spec: ContractionSpec, x0) -> "OmegaSpec":
         x0 = as_vector(x0)
-        d = norm(evaluate(spec, x0) - x0)
-        return cls(spec=spec, x0=x0, d=d)
+        return cls(spec=spec, x0=x0, d=first_step(spec, x0)[1])
 
     @classmethod
     def from_trace(cls, trace: IterationTrace) -> "OmegaSpec":

@@ -3,8 +3,9 @@
 Only closed families are supported, so the declared factor of every spec
 can be checked against the family's true factor rather than taken on
 faith.  Each family class declares everything else about itself: its
-problem-file ``kind``, its ``file_keys`` and a ``reference_fixed_point``
-computed without Picard iteration; :data:`FAMILIES` maps kinds to classes.
+problem-file ``kind``, its ``file_keys``, a ``reference_fixed_point``
+computed without Picard iteration and, for m = 1, the float map the engine
+iterates; :data:`FAMILIES` maps kinds to classes.
 The families:
 
 * ``Constant``        f(x) = c                   (true factor 0)
@@ -84,6 +85,12 @@ class ContractionSpec(abc.ABC):
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the map on each row of an (n, m) array."""
 
+    def _scalar_map(self):
+        """On a map with m = 1, a float -> float function that gives exactly
+        the bits of :meth:`_apply`, for the engine's float loop; None when
+        the family has none.  Not called for m >= 2."""
+        return None
+
     @abc.abstractmethod
     def true_factor(self) -> float:
         """The family's actual Lipschitz factor."""
@@ -122,6 +129,10 @@ class Constant(ContractionSpec):
 
     def _apply_batch(self, xs):
         return np.broadcast_to(self.c, xs.shape).copy()
+
+    def _scalar_map(self):
+        c0 = float(self.c[0])
+        return lambda x: c0
 
     def true_factor(self) -> float:
         return 0.0
@@ -172,6 +183,12 @@ class Affine(ContractionSpec):
 
     def _apply_batch(self, xs):
         return xs @ self.a.T + self.b
+
+    def _scalar_map(self):
+        # The product's sum starts from +0, as in the matmul: a x = -0 then
+        # gives +0, and +0 + b = +0 where -0 + b = -0 at b = -0.
+        a0, b0 = float(self.a[0, 0]), float(self.b[0])
+        return lambda x: (0.0 + a0 * x) + b0
 
     def true_factor(self) -> float:
         return spectral_norm(self.a)
@@ -294,6 +311,12 @@ class KeplerScalar(ContractionSpec):
 
     def _apply_batch(self, xs):
         return self.mean_anomaly + self.e * np.sin(xs)
+
+    def _scalar_map(self):
+        # numpy's sin, as in _apply: math.sin is the C library's, which
+        # need not round the same way, and it raises at inf
+        mean_anomaly, e, sin = self.mean_anomaly, self.e, np.sin
+        return lambda x: mean_anomaly + e * float(sin(x))
 
     def true_factor(self) -> float:
         return abs(self.e)

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .certificate import ConvergenceCertificate
-from .cone import NON_FINITE_NORM, norm, norm_each_row
-from .contraction import FAMILIES, ContractionSpec, evaluate
-from .engine import IterationTrace
+from .cone import NON_FINITE_NORM, norm_each_row
+from .contraction import FAMILIES, ContractionSpec
+from .engine import IterationTrace, first_step
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -132,9 +132,8 @@ def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
         raise ProblemFileError(
             f"{path}: non-finite value in trace row {int(np.argmin(finite))}"
         )
-    if x0 is None:
-        x0 = xs[0]
-    d = norm(evaluate(spec, np.asarray(x0, dtype=float)) - np.asarray(x0, dtype=float))
+    x0 = xs[0] if x0 is None else np.asarray(x0, dtype=float)
+    d = first_step(spec, x0)[1]
     return IterationTrace(
         spec=spec, x0=x0, d=d, xs=xs, ts=ts, stop_reason=None,
     )

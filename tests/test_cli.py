@@ -367,16 +367,19 @@ class TestProblemFiles:
         assert proc.returncode == 2
         assert proc.stderr == "error: trace row 4 has a non-finite value\n"
 
-    @pytest.mark.parametrize("command", [["solve"], ["certify"], ["omega", "--x", "0,0", "--t", "1"]],
-                             ids=["solve", "certify", "omega"])
+    @pytest.mark.parametrize("command", [["solve"], ["certify"], ["omega", "--x", "0,0", "--t", "1"],
+                                         ["certify", "--verify", "trace.csv"]],
+                             ids=["solve", "certify", "omega", "certify-verify"])
     def test_map_overflowing_at_x0_prints_only_the_error(self, in_tmp, command):
-        # f(x0) overflows, so d cannot be taken
+        # f(x0) overflows, so d cannot be taken, also for a reloaded trace
         path = self.write_problem(in_tmp, {
             "dimension": 2,
             "lambda": 0.9,
             "map": {"kind": "affine", "A": [[0.6, 0.6], [0.0, 0.0]], "b": [1.0, 1.0]},
             "x0": [1.79e308, 1.79e308],
         })
+        (in_tmp / "trace.csv").write_text(
+            "n,x_0,x_1,t,step_norm,t_increment,mono_residual\n0,1.79e308,1.79e308,0,0,0,0\n")
         proc = run_cli(*command, "--problem", path)
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot take the norm of a non-finite vector\n"

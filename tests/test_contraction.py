@@ -72,6 +72,41 @@ class TestEvaluate:
             assert np.allclose(row, evaluate(spec, x), rtol=1e-15, atol=0)
 
 
+# Inputs at the edges of the floats: signed zeros, subnormals, the smallest
+# normal, values whose images overflow, infinities and NaN.
+EDGE_INPUTS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0**-1022, -(2.0**-1022),
+    0.5, -0.5, 3.0, -3.0, 1e308, -1e308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan,
+]
+SIGNED_COEFFICIENTS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-600, -(2.0**-600), 0.9, -0.9, 1e308, -1e308]
+# KeplerScalar refuses |e| > lam, so e takes the coefficients up to 0.9.
+SCALAR_SPECS = {
+    "affine": [Affine(a=[[a]], b=[b], lam=0.95)
+               for a in SIGNED_COEFFICIENTS for b in SIGNED_COEFFICIENTS],
+    "kepler": [KeplerScalar(e=e, mean_anomaly=mean_anomaly, lam=0.95)
+               for e in SIGNED_COEFFICIENTS[:-2] for mean_anomaly in SIGNED_COEFFICIENTS],
+    "constant": [Constant(c=[c], lam=0.5) for c in SIGNED_COEFFICIENTS],
+}
+
+
+class TestScalarMap:
+    @pytest.mark.parametrize("kind", list(SCALAR_SPECS))
+    def test_same_bits_as_apply(self, kind):
+        # The engine's float loop must write the trace bits of the array map:
+        # the sign of a zero, an overflow to inf and a NaN included.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec in SCALAR_SPECS[kind]:
+                scalar_map = spec._scalar_map()
+                for x in EDGE_INPUTS:
+                    expected = spec._apply(np.array([x]))
+                    assert np.float64(scalar_map(x)).tobytes() == expected.tobytes(), (spec, x)
+
+    def test_zero_product_takes_the_sign_of_the_sum(self):
+        # a x = -0 and b = -0: the matmul's sum starts from +0, so f = +0
+        spec = Affine(a=[[0.5]], b=[-0.0], lam=0.5)
+        assert math.copysign(1.0, spec._scalar_map()(-0.0)) == 1.0
+
+
 class TestSpecConstruction:
     def test_lambda_must_be_inside_unit_interval(self):
         for lam in (0.0, 1.0, -0.5, 1.5, float("nan")):

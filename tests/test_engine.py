@@ -10,6 +10,7 @@ from cone_fixpoint import (
     FixedCount,
     InvalidInputError,
     IterationTrace,
+    KeplerScalar,
     ScaledRotation,
     StopReason,
     a_priori_iterations,
@@ -340,6 +341,33 @@ def _eps_at_and_around(value):
 DIMENSIONS = [1, 2, 7, 8, 300]
 
 
+class _ArrayAffine(Affine):
+    """An affine map without a scalar map: at m = 1 the engine iterates it
+    on arrays."""
+
+    def _scalar_map(self):
+        return None
+
+
+# One-dimensional maps of every family that has a scalar map, and one that
+# the engine iterates on arrays.  The affine map with a = -0.5, b = -0
+# halves x to 2^-1074 and then to a zero product, where the matmul's sum,
+# started from +0, gives +0 rather than -0.
+SIGNED_ZERO_AFFINE = Affine(a=[[-0.5]], b=[-0.0], lam=0.5)
+SCALAR_PROBLEMS = {
+    "kepler": (KeplerScalar(e=0.9, mean_anomaly=1.0, lam=0.95), [0.0]),
+    "kepler-negative-e": (KeplerScalar(e=-0.9, mean_anomaly=-2.5, lam=0.95), [3.0]),
+    "constant": (Constant(c=[-1.5], lam=0.4), [2.0]),
+    "constant-at-c": (Constant(c=[-0.0], lam=0.4), [0.0]),
+    "affine-signed-zero": (SIGNED_ZERO_AFFINE, [1.0]),
+    "affine-subnormal-x0": (SIGNED_ZERO_AFFINE, [5e-324]),
+    "affine-negative-zero-x0": (SIGNED_ZERO_AFFINE, [-0.0]),
+    "affine-on-arrays": (_ArrayAffine(a=[[-0.5]], b=[-0.0], lam=0.5), [1.0]),
+}
+STEPPING_SCALAR_PROBLEMS = ["kepler", "kepler-negative-e", "constant", "affine-signed-zero",
+                            "affine-on-arrays"]
+
+
 class TestSameBitsAsListLoop:
     @pytest.mark.parametrize("rule", RULES, ids=_rule_id)
     @pytest.mark.parametrize("name", [p.name for p in builtin_catalog()])
@@ -357,6 +385,20 @@ class TestSameBitsAsListLoop:
         spec = ScaledRotation(theta=1.234, scale=scale, b=[0.3, -2.0], lam=0.95)
         for rule in (APriori(1e-12), APosteriori(1e-12), FixedCount(300)):
             _assert_same_as_reference(spec, [5.0, -7.5], rule)
+
+    @pytest.mark.parametrize("rule", RULES + [FixedCount(1100)], ids=_rule_id)
+    @pytest.mark.parametrize("name", list(SCALAR_PROBLEMS))
+    def test_scalar_maps(self, name, rule):
+        spec, x0 = SCALAR_PROBLEMS[name]
+        _assert_same_as_reference(spec, x0, rule)
+
+    @pytest.mark.parametrize("name", STEPPING_SCALAR_PROBLEMS)
+    def test_scalar_maps_eps_on_and_next_to_a_step(self, name):
+        spec, x0 = SCALAR_PROBLEMS[name]
+        values = _stop_values(spec, x0, 25)
+        for n in (1, 2, 9, 25):
+            for eps in _eps_at_and_around(values[n - 1]):
+                _assert_same_as_reference(spec, x0, APosteriori(eps, max_iterations=200))
 
     @pytest.mark.parametrize("m", DIMENSIONS)
     def test_eps_on_and_next_to_a_step(self, m):
