@@ -15,6 +15,7 @@ outcome (iteration cap hit, declared factor refuted).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -62,7 +63,10 @@ class _ListBuiltins(argparse.Action):
         parser.exit()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged,
+    and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="cone-fixpoint",
         description="Fixed-point solver with cone-order convergence certificates.",

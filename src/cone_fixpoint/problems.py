@@ -47,7 +47,45 @@ def reference_fixed_point(p: ProblemInstance) -> np.ndarray:
     return ContractionSpec.reference_fixed_point(p.spec)
 
 
-def _instance(name: str, spec: ContractionSpec, x0, provenance: str) -> ProblemInstance:
+# name -> (spec factory, x0, provenance).  Specs are built on request, so a
+# lookup builds and solves one instance, not the whole catalog.
+_BUILTINS = {
+    "AFFINE_1D": (
+        lambda: Affine(a=[[0.5]], b=[1.0], lam=0.5),
+        [0.0],
+        "direct solve of (1 - 0.5) x = 1",
+    ),
+    "CONSTANT": (
+        lambda: Constant(c=[3.0, 7.0], lam=0.5),
+        [0.0, 0.0],
+        "a constant map fixes its value",
+    ),
+    "ROTATION_2D": (
+        lambda: ScaledRotation(theta=math.pi / 2.0, scale=0.5, b=[1.0, 0.0], lam=0.5),
+        [0.0, 0.0],
+        "2x2 solve of (I - 0.5 R(90deg)) x = (1, 0), det = 1.25",
+    ),
+    "KEPLER": (
+        lambda: KeplerScalar(e=0.5, mean_anomaly=1.0, lam=0.5),
+        [0.0],
+        "bisection of x - 1 - 0.5 sin x on [0.5, 1.5]",
+    ),
+    "FIXED_START": (
+        lambda: Affine(a=[[0.5]], b=[1.0], lam=0.5),
+        [2.0],
+        "starts at the fixed point, so d = 0",
+    ),
+    "NEAR_ONE": (
+        lambda: Affine(a=[[0.999]], b=[0.001], lam=0.999),
+        [0.0],
+        "direct solve of (1 - 0.999) x = 0.001",
+    ),
+}
+
+
+def _instance(name: str) -> ProblemInstance:
+    make_spec, x0, provenance = _BUILTINS[name]
+    spec = make_spec()
     return ProblemInstance(
         name=name, spec=spec, x0=x0,
         reference=spec.reference_fixed_point(), provenance=provenance,
@@ -56,52 +94,15 @@ def _instance(name: str, spec: ContractionSpec, x0, provenance: str) -> ProblemI
 
 def builtin_catalog() -> list[ProblemInstance]:
     """The standard test problems, each with a reference solution."""
-    return [
-        _instance(
-            "AFFINE_1D",
-            Affine(a=[[0.5]], b=[1.0], lam=0.5),
-            x0=[0.0],
-            provenance="direct solve of (1 - 0.5) x = 1",
-        ),
-        _instance(
-            "CONSTANT",
-            Constant(c=[3.0, 7.0], lam=0.5),
-            x0=[0.0, 0.0],
-            provenance="a constant map fixes its value",
-        ),
-        _instance(
-            "ROTATION_2D",
-            ScaledRotation(theta=math.pi / 2.0, scale=0.5, b=[1.0, 0.0], lam=0.5),
-            x0=[0.0, 0.0],
-            provenance="2x2 solve of (I - 0.5 R(90deg)) x = (1, 0), det = 1.25",
-        ),
-        _instance(
-            "KEPLER",
-            KeplerScalar(e=0.5, mean_anomaly=1.0, lam=0.5),
-            x0=[0.0],
-            provenance="bisection of x - 1 - 0.5 sin x on [0.5, 1.5]",
-        ),
-        _instance(
-            "FIXED_START",
-            Affine(a=[[0.5]], b=[1.0], lam=0.5),
-            x0=[2.0],
-            provenance="starts at the fixed point, so d = 0",
-        ),
-        _instance(
-            "NEAR_ONE",
-            Affine(a=[[0.999]], b=[0.001], lam=0.999),
-            x0=[0.0],
-            provenance="direct solve of (1 - 0.999) x = 0.001",
-        ),
-    ]
+    return [_instance(name) for name in _BUILTINS]
 
 
 def builtin(name: str) -> ProblemInstance:
-    for p in builtin_catalog():
-        if p.name == name:
-            return p
-    known = ", ".join(p.name for p in builtin_catalog())
-    raise UnsupportedInstanceError(f"unknown builtin {name!r} (known: {known})")
+    if name not in _BUILTINS:
+        raise UnsupportedInstanceError(
+            f"unknown builtin {name!r} (known: {', '.join(_BUILTINS)})"
+        )
+    return _instance(name)
 
 
 def reference_residual(p: ProblemInstance) -> float:

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 import tempfile
+from typing import NoReturn
 
 import numpy as np
 
@@ -85,26 +87,25 @@ def write_trace_csv(trace: IterationTrace, path: str):
     table = np.column_stack(
         (np.arange(xs.shape[0]), xs, ts, step_norm, t_inc, t_inc - step_norm)
     )
-    row = "%d," + ",".join(["%.17g"] * (m + 4))
-    rows = [",".join(trace_csv_header(m))]
-    rows += [row % tuple(cells) for cells in table.tolist()]
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    row = "%d," + ",".join(["%.17g"] * (m + 4)) + "\n"
+    body = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    write_text_atomic(path, ",".join(trace_csv_header(m)) + "\n" + body)
 
 
 def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
     """Rebuild a trace from CSV for re-verification.
 
     ``x0`` is the declared start of the problem; when omitted, row 0 is
-    taken as the start.  The stored derived columns are ignored: the
-    verifier recomputes everything from the raw points.  A file that cannot
-    be read or is not text raises :class:`ProblemFileError`.
+    taken as the start.  Every cell of every row must parse as a number
+    (blank lines are skipped); the stored derived columns are then ignored:
+    the verifier recomputes everything from the raw points.  A file that
+    cannot be read, is not text or holds a malformed row raises
+    :class:`ProblemFileError`.
     """
-    with _reading(path), open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProblemFileError(f"{path}: empty trace file") from None
+    with _reading(path), open(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ProblemFileError(f"{path}: empty trace file")
         m = len(header) - 5
         if m < 1 or header != trace_csv_header(m):
             raise ProblemFileError(f"{path}: unrecognized trace header {header!r}")
@@ -112,21 +113,19 @@ def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
             raise DimensionMismatchError(
                 f"{path}: trace has dimension {m}, problem has {spec.dimension}"
             )
-        xs, ts = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ProblemFileError(f"{path}: malformed row {row!r}")
-            try:
-                xs.append([float(v) for v in row[1 : 1 + m]])
-                ts.append(float(row[1 + m]))
-            except ValueError:
-                raise ProblemFileError(f"{path}: malformed row {row!r}") from None
-    if not xs:
+        body = fh.read()
+    if not body.strip("\n"):
         raise ProblemFileError(f"{path}: trace has no rows")
-    xs = np.asarray(xs)
-    ts = np.asarray(ts)
+    try:
+        # comments=None: a "#" line is a malformed row, not a comment.
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                           ndmin=2, dtype=float)
+    except ValueError:
+        _refuse_first_malformed_row(path, body, len(header))
+    if table.shape[1] != len(header):
+        _refuse_first_malformed_row(path, body, len(header))
+    xs = np.ascontiguousarray(table[:, 1 : 1 + m])
+    ts = table[:, 1 + m].copy()
     finite = np.isfinite(xs).all(axis=1) & np.isfinite(ts)
     if not finite.all():
         raise ProblemFileError(
@@ -137,6 +136,33 @@ def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
     return IterationTrace(
         spec=spec, x0=x0, d=d, xs=xs, ts=ts, stop_reason=None,
     )
+
+
+def _is_cell(text: str) -> bool:
+    """Whether ``np.loadtxt`` parses ``text`` as a float: Python's ``float``
+    grammar without underscores, ASCII once surrounding whitespace is gone."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _refuse_first_malformed_row(path: str, body: str, width: int) -> NoReturn:
+    """Raise :class:`ProblemFileError` naming the first row of ``body`` that
+    ``np.loadtxt`` refused: a wrong cell count or a cell that is no number.
+    Lines are split as loadtxt splits them; blank lines are skipped."""
+    rows = (line.split(",") for line in body.split("\n") if line)
+    bad = next(
+        (row for row in rows if len(row) != width or not all(map(_is_cell, row))),
+        None,
+    )
+    if bad is None:
+        raise ProblemFileError(f"{path}: malformed trace body")
+    raise ProblemFileError(f"{path}: malformed row {bad!r}")
 
 
 # --- problem files ---------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import cone_fixpoint
-from cone_fixpoint import Affine, APriori, FixedCount, builtin_catalog, norm, run
+from cone_fixpoint import (
+    Affine, APriori, Constant, FixedCount, IterationTrace, builtin_catalog, norm, run,
+)
 from cone_fixpoint import certificate
 from cone_fixpoint.cli import main
 from cone_fixpoint.traceio import map_to_dict, trace_csv_header, write_trace_csv
@@ -161,6 +163,18 @@ class TestCertify:
                      "--out", "cert.json"])
         assert code == 2
         assert "malformed row ['4', '1.875']" in capsys.readouterr().err
+        assert not (in_tmp / "cert.json").exists()
+
+    @pytest.mark.parametrize("where", [0, 2])  # the header, a body row
+    def test_verify_trace_not_utf8_is_usage_error(self, in_tmp, capsys, where):
+        main(["solve", "--builtin", "AFFINE_1D", "--eps", "0.25", "--out", "trace.csv"])
+        lines = (in_tmp / "trace.csv").read_bytes().splitlines()
+        lines[where] = lines[where].replace(b",", b",\xff", 1)
+        (in_tmp / "trace.csv").write_bytes(b"\n".join(lines) + b"\n")
+        code = main(["certify", "--builtin", "AFFINE_1D", "--verify", "trace.csv",
+                     "--out", "cert.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: trace.csv: not a text file")
         assert not (in_tmp / "cert.json").exists()
 
     def test_full_flag(self, in_tmp):
@@ -471,6 +485,28 @@ class TestUsage:
                          "--out", "cert.json"]) == 0
             assert (in_tmp / "cert.json").read_bytes() == (GOLDEN / "KEPLER.json").read_bytes()
 
+    def test_full_does_not_carry_over(self, in_tmp, capsys):
+        """The parser is built once per process; no parse leaves state in it."""
+        assert main(["certify", "--builtin", "AFFINE_1D", "--full", "--out", "a.json"]) == 0
+        assert main(["certify", "--builtin", "AFFINE_1D", "--out", "b.json"]) == 0
+        assert "full_residuals" in json.loads((in_tmp / "a.json").read_text())
+        assert "full_residuals" not in json.loads((in_tmp / "b.json").read_text())
+
+    def test_usage_error_then_solve(self, in_tmp, capsys):
+        assert main(["solve", "--builtin", "AFFINE_1D", "--eps", "tiny"]) == 2
+        assert "--eps" in capsys.readouterr().err
+        assert main(["solve", "--builtin", "AFFINE_1D", "--out", "trace.csv"]) == 0
+        assert "problem        AFFINE_1D" in capsys.readouterr().out
+        assert (in_tmp / "trace.csv").exists()
+
+    def test_list_then_solve(self, in_tmp, capsys):
+        assert main(["solve", "--list"]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--builtin", "KEPLER", "--out", "trace.csv"]) == 0
+        out = capsys.readouterr().out
+        assert "problem        KEPLER" in out and "ROTATION_2D" not in out
+        assert (in_tmp / "trace.csv").exists()
+
     @pytest.mark.parametrize("command", ["solve", "certify"])
     @pytest.mark.parametrize("out", ["adir", "missing/x.csv"])
     def test_unwritable_out_is_usage_error(self, in_tmp, capsys, command, out):
@@ -531,6 +567,20 @@ class TestTraceWriterBytes:
             trace = run(spec, x0, FixedCount(150))
             write_trace_csv(trace, str(tmp_path / "t.csv"))
             assert (tmp_path / "t.csv").read_bytes() == _reference_trace_csv(trace).encode()
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_signed_zeros_and_subnormals(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        cells = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1.0])
+        xs, ts = rng.choice(cells, size=(20, m)), rng.choice(cells, size=20)
+        trace = IterationTrace(spec=Constant(c=np.zeros(m), lam=0.5), x0=xs[0], d=0.0,
+                               xs=xs, ts=ts, stop_reason=None)
+        write_trace_csv(trace, str(tmp_path / "t.csv"))
+        text = (tmp_path / "t.csv").read_text()
+        for cell in (",-0,", ",4.9406564584124654e-324", ",-9.9999999999999694e-311"):
+            assert cell in text
+        assert text.encode() == _reference_trace_csv(trace).encode()
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"

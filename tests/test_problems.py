@@ -74,8 +74,10 @@ def test_reference_recomputation_is_stable():
 
 
 def test_unknown_builtin():
-    with pytest.raises(UnsupportedInstanceError):
+    known = ", ".join(p.name for p in builtin_catalog())
+    with pytest.raises(UnsupportedInstanceError) as info:
         builtin("NO_SUCH_PROBLEM")
+    assert str(info.value) == f"unknown builtin 'NO_SUCH_PROBLEM' (known: {known})"
 
 
 def test_unsupported_family_reference():
@@ -103,3 +105,18 @@ def test_affine_reference_oracle_is_direct_solve():
     x2 = 2.0 / 0.7
     x1 = (1.0 + 0.1 * x2) / 0.8
     np.testing.assert_allclose(ref, [x1, x2], rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+def test_builtin_equals_catalog_entry(name):
+    """``builtin`` builds one instance; it is the catalog's, field by field."""
+    one = builtin(name)
+    entry = next(p for p in builtin_catalog() if p.name == name)
+    assert type(one.spec) is type(entry.spec)
+    assert one.spec.lam == entry.spec.lam
+    for _, field in entry.spec.file_keys:
+        got, want = np.asarray(getattr(one.spec, field)), np.asarray(getattr(entry.spec, field))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for field in ("x0", "reference"):
+        assert getattr(one, field).tobytes() == getattr(entry, field).tobytes()
+    assert one.provenance == entry.provenance

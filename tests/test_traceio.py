@@ -1,12 +1,18 @@
+import csv
+import decimal
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cone_fixpoint import (
     Affine,
     APriori,
+    Constant,
     ContractionSpec,
     DimensionMismatchError,
     FixedCount,
@@ -184,6 +190,187 @@ class TestTraceCsv:
         loaded = read_trace_csv(str(path), AFFINE)
         assert loaded.x0.tolist() == [1.0]
         assert loaded.d == trace.d == 0.5
+
+
+def _reference_read(path, m):
+    """The ``csv.reader`` + ``float()`` trace reader that ``np.loadtxt``
+    replaced, kept as the oracle: its (xs, ts), or its ProblemFileError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ProblemFileError(f"{path}: empty trace file") from None
+        if header != trace_csv_header(m):
+            raise ProblemFileError(f"{path}: unrecognized trace header {header!r}")
+        xs, ts = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ProblemFileError(f"{path}: malformed row {row!r}")
+            try:
+                xs.append([float(v) for v in row[1 : 1 + m]])
+                ts.append(float(row[1 + m]))
+            except ValueError:
+                raise ProblemFileError(f"{path}: malformed row {row!r}") from None
+    if not xs:
+        raise ProblemFileError(f"{path}: trace has no rows")
+    xs, ts = np.asarray(xs), np.asarray(ts)
+    finite = np.isfinite(xs).all(axis=1) & np.isfinite(ts)
+    if not finite.all():
+        raise ProblemFileError(f"{path}: non-finite value in trace row {int(np.argmin(finite))}")
+    return xs, ts
+
+
+def _read_both(path, m):
+    """Each reader's outcome on one file: (xs, ts) or the ProblemFileError."""
+    outcomes = []
+    for read in (lambda: _reference_read(path, m),
+                 lambda: read_trace_csv(path, Constant(c=[0.0] * m, lam=0.5), x0=[0.0] * m)):
+        try:
+            result = read()
+        except ProblemFileError as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(result if isinstance(result, tuple) else (result.xs, result.ts))
+    return outcomes
+
+
+def _assert_same_bits(old, new):
+    for a, b in zip(old, new):
+        assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
+def _trace_text(cells, m):
+    """A trace CSV whose x and t cells are the given strings, one row per
+    m + 1 of them; the n and derived columns hold plain numbers."""
+    lines = [",".join(trace_csv_header(m))]
+    for n, row in enumerate(cells):
+        lines.append(",".join([str(n), *row, "0", "0", "0"]))
+    return "\n".join(lines) + "\n"
+
+
+_DECIMAL = decimal.Context(prec=1100)
+
+
+def _midpoint(value):
+    """The exact decimal halfway between ``value`` and the next double up:
+    a correctly rounded parser rounds it to the one with an even mantissa."""
+    above = np.nextafter(value, np.inf)
+    return str(_DECIMAL.divide(_DECIMAL.add(decimal.Decimal(value), decimal.Decimal(float(above))), 2))
+
+
+def _integer_tie(k):
+    """An odd integer between 2^53 and 2^54, 16 or 17 digits long: doubles
+    there are 2 apart, so it lies halfway between two of them."""
+    return str(2**53 + 2 * k + 1)
+
+
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny]),
+)
+cell_texts = st.one_of(
+    finite_doubles.map(lambda v: "%.17g" % v),
+    finite_doubles.filter(lambda v: abs(v) < np.finfo(float).max).map(_midpoint),
+    st.integers(0, 2**52 - 1).map(_integer_tie),
+)
+
+
+# Each example overwrites the one file it reads, so a shared tmp_path is safe.
+TMP_PATH_SHARED = [HealthCheck.function_scoped_fixture]
+
+
+class TestReaderParity:
+    """``read_trace_csv`` against ``_reference_read``: the same bits wherever
+    it accepts, and a ProblemFileError naming the row wherever they differ."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @settings(max_examples=60, deadline=None, suppress_health_check=TMP_PATH_SHARED)
+    @given(data=st.data())
+    def test_same_bits(self, tmp_path, m, data):
+        rows = data.draw(st.lists(st.lists(cell_texts, min_size=m + 1, max_size=m + 1),
+                                  min_size=1, max_size=6))
+        path = tmp_path / "t.csv"
+        path.write_text(_trace_text(rows, m))
+        old, new = _read_both(str(path), m)
+        assert isinstance(old, tuple) and isinstance(new, tuple)
+        _assert_same_bits(old, new)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=TMP_PATH_SHARED)
+    @given(st.text(alphabet="0123456789.eE+-_ \t#\"',;infatyINFATYx\xa0١", max_size=8))
+    @example("1_0")
+    @example('"1"')
+    @example("١")
+    @example(" 1.5\xa0")
+    @example("Infinity")
+    @example("")
+    def test_any_x_cell(self, tmp_path, text):
+        """One x cell holds arbitrary text: the readers agree, or the new one
+        refuses and names the row."""
+        path = tmp_path / "t.csv"
+        path.write_text(_trace_text([["0", "1"], [text, "1"]], 1))
+        old, new = _read_both(str(path), 1)
+        if isinstance(new, tuple):
+            assert isinstance(old, tuple)
+            _assert_same_bits(old, new)
+        elif not isinstance(old, tuple) and "non-finite" in str(old):
+            assert str(new) == str(old)
+        else:
+            assert re.search(r": malformed row \['1', ", str(new)), str(new)
+
+
+def _edit_row(i, column, value):
+    def edit(lines):
+        cells = lines[1 + i].split(",")
+        cells[column] = value
+        lines[1 + i] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+# name -> (edit of the lines of the m = 1 trace
+#     0,0,0,0,0,0 / 1,1,1,1,1,0 / 2,1.5,1.5,0.5,0.5,0 / 3,1.75,1.75,0.25,0.25,0,
+# the old reader's outcome, the new reader's, the row its refusal names).
+EDITS = {
+    "comment line": (lambda lines: "\n".join(lines[:2] + ["# note"] + lines[2:]) + "\n",
+                     "refuse", "refuse", ["# note"]),
+    "whitespace line": (lambda lines: "\n".join(lines[:2] + ["   "] + lines[2:]) + "\n",
+                        "refuse", "refuse", ["   "]),
+    "hash in cell": (_edit_row(1, 1, "1#"), "refuse", "refuse", ["1", "1#", "1", "1", "1", "0"]),
+    "underscore": (_edit_row(1, 1, "1_0"), "accept", "refuse", ["1", "1_0", "1", "1", "1", "0"]),
+    "quoted": (_edit_row(1, 1, '"1"'), "accept", "refuse", ["1", '"1"', "1", "1", "1", "0"]),
+    "n not a number": (_edit_row(2, 0, "two"), "accept", "refuse",
+                       ["two", "1.5", "1.5", "0.5", "0.5", "0"]),
+    "mono_residual not a number": (_edit_row(2, 5, "x"), "accept", "refuse",
+                                   ["2", "1.5", "1.5", "0.5", "0.5", "x"]),
+    "tab before cell": (_edit_row(1, 1, "\t1"), "accept", "accept", None),
+    "crlf": (lambda lines: "\r\n".join(lines) + "\r\n", "accept", "accept", None),
+    "blank lines": (lambda lines: "\n".join(lines[:2] + [""] + lines[2:]) + "\n\n\n",
+                    "accept", "accept", None),
+    "short row": (lambda lines: "\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:])
+                  + "\n", "refuse", "refuse", ["1", "1", "1", "1", "1"]),
+    "long row": (lambda lines: "\n".join(lines[:2] + [lines[2] + ",0"] + lines[3:]) + "\n",
+                 "refuse", "refuse", ["1", "1", "1", "1", "1", "0", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", list(EDITS))
+def test_edited_trace(tmp_path, name):
+    edit, old_outcome, new_outcome, named_row = EDITS[name]
+    path = tmp_path / "t.csv"
+    write_trace_csv(run(AFFINE, [0.0], FixedCount(3)), str(path))
+    path.write_bytes(edit(path.read_text().splitlines()).encode())
+    old, new = _read_both(str(path), 1)
+    assert ("accept" if isinstance(old, tuple) else "refuse") == old_outcome
+    assert ("accept" if isinstance(new, tuple) else "refuse") == new_outcome
+    if new_outcome == "accept":
+        _assert_same_bits(old, new)
+    else:
+        assert str(new).endswith(f": malformed row {named_row!r}")
 
 
 class TestProblemJson:
