@@ -45,6 +45,14 @@ DEFAULT_WITNESS_SAMPLES = 32
 # PAIRWISE_SUM_MIN_COLUMNS columns on, a block is one witness.
 BLOCK_ELEMENTS = 1 << 15
 
+# Below PAIRWISE_SUM_MIN_COLUMNS columns, the bounded check decides a trace
+# of at least ROW_FILTER_MIN_ROWS rows by blocks of ROW_BLOCK consecutive
+# rows, and a shorter one from the whole residual matrix.  With 33
+# witnesses, the filter's fixed cost of about 0.2 ms outweighed what it
+# saved below about 600 rows at m = 1 and 300 rows at m = 2 to 7.
+ROW_BLOCK = 64
+ROW_FILTER_MIN_ROWS = 8 * ROW_BLOCK
+
 
 @dataclass(frozen=True)
 class OmegaSpec:
@@ -157,7 +165,7 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     offsets = np.empty(count)
     for k in range(count):
         u = rng.standard_normal(m)
-        while not u.any():  # norm(u) == 0.0
+        while not np.count_nonzero(u):  # norm(u) == 0.0; cheaper than u.any()
             u = rng.standard_normal(m)
         us[k] = u
         radii[k] = rng.uniform(0.0, radius)
@@ -289,9 +297,10 @@ def _bounded_residuals(wx, wt, xs, ts) -> np.ndarray:
 
 
 def _pair_residuals(wx, wt, xs, ts, i, n) -> np.ndarray:
-    """The entries (i[k], n[k]) of :func:`_bounded_residuals`, bit for bit,
-    from at least PAIRWISE_SUM_MIN_COLUMNS columns on: the same operations on
-    the gathered rows, N+1 pairs at a time."""
+    """The entries (i[k], n[k]) of :func:`_bounded_residuals`, bit for bit
+    at every width: the same operations on the gathered rows, N+1 pairs at a
+    time (:func:`row_norms` gives each row the same bits however the rows
+    are laid out)."""
     out = np.empty(i.size)
     step = xs.shape[0]
     for a in range(0, i.size, step):
@@ -342,6 +351,54 @@ def _undecided_or_near_min(wx, wt, xs, ts) -> np.ndarray:
         return ~decided | (gaps - np.sqrt(upper) <= highest.min(initial=np.inf))
 
 
+# The row-block filter bounds from below every residual r = fl(g - R) of a
+# block, g = fl(w.t - t^n) and R = row_norms(fl(w.x - x^n)), through the
+# block's anchor c, its last row.  Write a = ||w.x - x^n||, u = 2^-53,
+# eta = 2^-1022 and gamma = gamma_{m+9} <= 1.01 (m + 9) u, with m < 8 here.
+#   * For any two points, the narrow kernel puts R^2 within a factor
+#     1 +- gamma of their squared distance (see above _undecided_or_near_min);
+#     the product by the scale, and subnormal differences flushed to zero,
+#     add at most (m + 1) eta.  So R <= (1 + gamma) a + (m + 1) eta and
+#     a <= (1 + gamma)(R + (m + 1) eta).
+#   * With D = R(w.x, c), P the largest R(x^n, c) of the block and the
+#     triangle inequality a <= ||w.x - c|| + ||x^n - c||, every R of the
+#     block is at most (1 + gamma)^2 (D + P) + 3.1 (m + 1) eta.
+#   * U = fl(fl(fl(D + P) K) + A) loses at most a factor 1 - u at each
+#     step, and eta where the product underflows.  K = 1 + (4m + 48) u is
+#     (1 + gamma)^2 / (1 - u)^3 with its relative term doubled, and
+#     A = (8m + 16) eta about twice the absolute terms, so U >= R.
+#   * With T the largest t^n of the block, fl(w.t - T) <= g; rounding is
+#     monotone, so r >= fl(fl(w.t - T) - U), the block's bound.
+# A difference or a norm that overflows exceeds U before rounding, so U is
+# inf, or NaN from a NaN D or P, and the bound is -inf or NaN: no NaN
+# residual lies in a skipped block.
+@np.errstate(over="ignore", invalid="ignore")
+def _pairs_in_undecided_blocks(wx, wt, xs, ts) -> np.ndarray:
+    """The flat indices (w (N+1) + n, ascending) of the pairs whose residual
+    must be computed exactly, below PAIRWISE_SUM_MIN_COLUMNS columns: every
+    pair of each (witness, block of ROW_BLOCK rows) whose lower bound
+    (derivation above) is not above max(H, 0), H being the lowest exact
+    residual at the blocks' anchors.  A skipped pair's residual is > 0, so
+    it passes, and > H, so it is not the lowest; a NaN bound or a NaN H
+    keeps the block."""
+    n_points, m = xs.shape
+    n_blocks = -(-n_points // ROW_BLOCK)
+    # row indices per block, the short last block padded with its anchor
+    rows = np.minimum(np.arange(n_blocks * ROW_BLOCK), n_points - 1).reshape(n_blocks, ROW_BLOCK)
+    anchors = rows[:, -1]
+    spread = np.max(row_norms(xs[rows] - xs[anchors, None, :]), axis=1)
+    top_t = np.max(ts[rows], axis=1)
+    dist = row_norms(wx[:, None, :] - xs[anchors])
+    # the exact residuals at the anchors, the same bits as their matrix entries
+    lowest = np.min((wt[:, None] - ts[anchors]) - dist, initial=np.inf)
+    rel, absolute = 1.0 + (4 * m + 48) * 2.0**-53, (8 * m + 16) * 2.0**-1022
+    reach = (dist + spread) * rel + absolute
+    keep = ~((wt[:, None] - top_t) - reach > np.maximum(lowest, 0.0))
+    w, k = np.nonzero(keep)
+    steps = k[:, None] * ROW_BLOCK + np.arange(ROW_BLOCK)
+    return (w[:, None] * n_points + steps)[steps < n_points]
+
+
 def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
     """:func:`_summary_of_rows` of the whole residual matrix from the exact
     residuals ``resid`` of the pairs with flat indices ``pairs`` (w (N+1) + n,
@@ -362,20 +419,28 @@ def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
 def _bounded_check(wx, wt, xs, ts, tol):
     """The bounded check's first failure, its summary and its
     ``witness_residuals``.  Only the pairs with exact residuals depend on
-    the width: below PAIRWISE_SUM_MIN_COLUMNS columns, every pair, the whole
-    matrix being cheap; from there on, the pairs the GEMM filter leaves, the
-    matrix being filled on first read."""
-    if xs.shape[1] < PAIRWISE_SUM_MIN_COLUMNS:
-        residuals = _bounded_residuals(wx, wt, xs, ts)
-        pairs, resid, witness_residuals = None, residuals.ravel(), tuple(residuals)
-    else:
+    the shape of the trace: from PAIRWISE_SUM_MIN_COLUMNS columns on, the
+    pairs the GEMM filter leaves; below that width, on a trace of at least
+    ROW_FILTER_MIN_ROWS rows, the pairs of the blocks the row-block filter
+    leaves; on a shorter one, every pair, the whole matrix being cheap.
+    Where a filter ran, the matrix is filled on first read."""
+    n_points, m = xs.shape
+    if m >= PAIRWISE_SUM_MIN_COLUMNS:
         pairs = np.flatnonzero(_undecided_or_near_min(wx, wt, xs, ts))
-        resid = _pair_residuals(wx, wt, xs, ts, *np.divmod(pairs, ts.size))
+    elif n_points >= ROW_FILTER_MIN_ROWS:
+        pairs = _pairs_in_undecided_blocks(wx, wt, xs, ts)
+    else:
+        pairs = None
+    if pairs is None:
+        residuals = _bounded_residuals(wx, wt, xs, ts)
+        resid, witness_residuals = residuals.ravel(), tuple(residuals)
+    else:
+        resid = _pair_residuals(wx, wt, xs, ts, *np.divmod(pairs, n_points))
 
         def witness_residuals():
             return tuple(_bounded_residuals(wx, wt, xs, ts))
     low = np.flatnonzero(~(resid >= 0.0))  # a margin is >= 0, so a residual >= 0 passes
-    i, n = np.divmod(low if pairs is None else pairs[low], ts.size)
+    i, n = np.divmod(low if pairs is None else pairs[low], n_points)
     # the margin lives on the scale of the gap w.t - t^n
     k = _first_excess(-resid[low], tol.margin(wt[i] - ts[n]))
     failure = None if k is None else (f"bounded check failed for witness {i[k]} at step {n[k]} "
@@ -404,10 +469,13 @@ def verify_certificate(
 
     Each check runs on whole arrays; every residual and verdict is bit for
     bit what the per-witness, per-step definition in the module docstring
-    gives.  From PAIRWISE_SUM_MIN_COLUMNS columns on, the bounded check
-    computes exact residuals only for the pairs a rigorous GEMM filter cannot
-    decide and for the candidates for its minimum; ``witness_residuals`` are
-    then filled on first read.
+    gives.  The bounded check computes exact residuals only for the pairs a
+    rigorous filter cannot decide and for the candidates for its minimum:
+    from PAIRWISE_SUM_MIN_COLUMNS columns on, a GEMM filter of every pair;
+    below that width, on traces of at least ROW_FILTER_MIN_ROWS points, a
+    filter of blocks of ROW_BLOCK consecutive points.  ``witness_residuals``
+    are then filled on first read; on shorter narrow traces the whole matrix
+    is computed.
     """
     if tol is None:
         tol = TolerancePolicy.default()

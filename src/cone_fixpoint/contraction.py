@@ -81,6 +81,12 @@ class ContractionSpec(abc.ABC):
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on a validated point."""
 
+    def _apply_into(self, x: np.ndarray, out: np.ndarray):
+        """Write :meth:`_apply` of a validated point into the float64 array
+        ``out``, bit for bit: the engine's array loop steps with it straight
+        into its trace buffer.  ``out`` does not overlap ``x``."""
+        out[...] = self._apply(x)
+
     @abc.abstractmethod
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the map on each row of an (n, m) array."""
@@ -145,6 +151,17 @@ def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(b.size) - a, b)
 
 
+def _matvec_plus_into(a: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """``out = a @ x + b`` without a temporary, bit for bit from m = 2 on:
+    np.dot into ``out`` calls the same gemv as the matmul (at 1x1 it takes
+    numpy's scalar product instead, whose signed zeros differ).  np.matmul
+    into ``out`` costs twice as much when ``x`` and ``out`` are rows of one
+    buffer, as in the engine.  ``out`` is passed by position, which numpy
+    parses faster than the keyword."""
+    np.dot(a, x, out)
+    np.add(out, b, out)
+
+
 @dataclass(frozen=True)
 class Affine(ContractionSpec):
     """f(x) = A x + b.  The spectral norm of A must not exceed lam.
@@ -180,6 +197,12 @@ class Affine(ContractionSpec):
 
     def _apply(self, x):
         return self.a @ x + self.b
+
+    def _apply_into(self, x, out):
+        if self.b.size > 1:
+            _matvec_plus_into(self.a, self.b, x, out)
+        else:
+            super()._apply_into(x, out)
 
     def _apply_batch(self, xs):
         return xs @ self.a.T + self.b
@@ -243,6 +266,9 @@ class ScaledRotation(ContractionSpec):
 
     def _apply(self, x):
         return self._matrix @ x + self.b
+
+    def _apply_into(self, x, out):
+        _matvec_plus_into(self._matrix, self.b, x, out)
 
     def _apply_batch(self, xs):
         return xs @ self._matrix.T + self.b

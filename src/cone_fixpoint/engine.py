@@ -287,10 +287,12 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     The width only picks the map and the stop test the one stepping loop
     calls: at m = 1 it iterates on Python floats through the family's scalar
     map, whose bits are those of the array map, and otherwise (m >= 2, or a
-    spec without one) on float64 arrays through ``spec._apply``.  The rule
-    only sets where the loop ends: when the step count N is known in advance
-    (``APriori``, ``FixedCount``, or N = 0 at an exact fixed point) the
-    (N+1)-row buffers are allocated once and no step norm is computed.
+    spec without one) on float64 arrays through ``spec._apply_into``, which
+    writes f(x^n) straight into row n+1 of the trace buffer with the bits of
+    ``spec._apply``.  The rule only sets where the loop ends: when the step
+    count N is known in advance (``APriori``, ``FixedCount``, or N = 0 at an
+    exact fixed point) the (N+1)-row buffers are allocated once and no step
+    norm is computed.
     ``APosteriori`` starts from smaller buffers that double when full and
     tests every step: on floats exactly, with the step's absolute value, and
     on arrays from one dot product per step where that settles the test, so
@@ -333,30 +335,37 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
 
     lam = spec.lam
     scalar_map = spec._scalar_map() if x0.size == 1 else None
-    if scalar_map is not None:
+    on_floats = scalar_map is not None
+    if on_floats:
         apply, x, x1, row_shape = scalar_map, float(x0[0]), float(x1[0]), ()
     else:
-        apply, x, row_shape = spec._apply, x0, (x0.size,)
+        apply, x, row_shape = spec._apply_into, x0, (x0.size,)
     if steps is None:
         last, rows = rule.max_iterations, min(INITIAL_ROWS, rule.max_iterations + 1)
-        stops = _stop_test(lam / gap, rule.eps, x0.size, scalar_map is not None)
+        stops = _stop_test(lam / gap, rule.eps, x0.size, on_floats)
     else:
         last, rows = steps, steps + 1
-    # Each row is copied into the buffer and the map's output dropped.
-    # Keeping the outputs in a list, to stack them once at the end, made
-    # wide_affine's m = 300 operations about 15 % slower.
+    # The map writes each array row straight into the buffer, and x^n is a
+    # view of row n.  Keeping the outputs in a list, to stack them once at
+    # the end, made wide_affine's m = 300 operations about 15 % slower.
     xs = np.empty((rows,) + row_shape)
     ts = np.empty(rows)
     xs[0], ts[0] = x, 0.0
     t, n = 0.0, 0
     for n in range(1, last + 1):
-        x_next = apply(x) if n > 1 else x1
         t = lam * t + d
         if n == rows:
             xs, ts = _grown(xs, last + 1), _grown(ts, last + 1)
             rows = xs.shape[0]
-        xs[n] = x_next
         ts[n] = t
+        if on_floats:
+            xs[n] = x_next = apply(x) if n > 1 else x1
+        else:
+            x_next = xs[n]
+            if n > 1:
+                apply(x, x_next)
+            else:
+                x_next[...] = x1
         if steps is None:
             if stops(x_next - x):
                 break

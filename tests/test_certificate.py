@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cone_fixpoint import (
     FixedCount,
     InvalidInputError,
     InvalidWitnessError,
+    IterationTrace,
     OmegaSpec,
     TolerancePolicy,
     builtin,
@@ -32,6 +34,7 @@ from cone_fixpoint import (
     verify_certificate,
 )
 from cone_fixpoint import certificate
+from cone_fixpoint.certificate import ROW_BLOCK, ROW_FILTER_MIN_ROWS
 from cone_fixpoint.cone import norm_each_row, row_norms
 from test_acceptance import random_affine_instances
 
@@ -677,12 +680,20 @@ def _assert_filter_matches_full_matrix(wx, wt, xs, ts, tol):
     return got
 
 
-def _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale=1.0):
+def _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale=1.0, walk=False):
     """Points x^n and witnesses, around a common offset, each witness's w.t
     within a few ulp of the largest t^n + ||w.x - x^n||, so that its row's
-    lowest residual is near 0 and the others are above it."""
-    xs = scale * (offset + rng.standard_normal((n_points, m)))
-    ts = scale * np.abs(rng.standard_normal(n_points))
+    lowest residual is near 0 and the others are above it.  The points are
+    independent draws, or with ``walk`` a converging walk whose t^n is its
+    path length, as in a trace."""
+    if walk:
+        steps = rng.standard_normal((n_points, m)) * (0.99 ** np.arange(n_points))[:, None]
+        steps[0] = 0.0
+        xs = scale * (offset + np.cumsum(steps, axis=0))
+        ts = scale * np.cumsum(row_norms(steps))
+    else:
+        xs = scale * (offset + rng.standard_normal((n_points, m)))
+        ts = scale * np.abs(rng.standard_normal(n_points))
     wx = scale * (offset + rng.standard_normal((n_witnesses, m)))
     wt = np.max(ts + row_norms(wx[:, None, :] - xs), axis=1)
     for _ in range(abs(ulps)):
@@ -692,10 +703,40 @@ def _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale=1.0)
     return wx, wt, xs, ts
 
 
+def _anchor_rows(n_points):
+    """The rows that anchor the row-block filter's blocks: each block's last."""
+    return np.unique(np.minimum(np.arange(ROW_BLOCK - 1, n_points + ROW_BLOCK - 1, ROW_BLOCK),
+                                n_points - 1))
+
+
+def _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts):
+    """Every pair the row-block filter skips has, in exact arithmetic, a
+    residual of the whole matrix above max(H, 0), H the lowest residual at
+    the anchors; with a NaN there, no pair is skipped."""
+    n_points = ts.size
+    pairs = certificate._pairs_in_undecided_blocks(wx, wt, xs, ts)
+    assert np.all(np.diff(pairs) > 0)
+    full = np.array([(w_t - ts) - _reference_row_norms(w_x - xs) for w_x, w_t in zip(wx, wt)])
+    full = full.reshape(wt.size, n_points)
+    at_anchors = full[:, _anchor_rows(n_points)]
+    skipped = np.ones(full.size, dtype=bool)
+    skipped[pairs] = False
+    if np.isnan(at_anchors).any():
+        assert not skipped.any()
+        return skipped
+    if skipped.any():
+        floor = Fraction(max(float(np.min(at_anchors)), 0.0))
+        for r in full.ravel()[skipped].tolist():
+            assert r == np.inf or Fraction(r) > floor
+    return skipped
+
+
 class TestBoundedFilter:
-    """From PAIRWISE_SUM_MIN_COLUMNS columns on the bounded check computes
-    exact residuals only at the pairs a GEMM filter cannot decide and at the
-    candidates for the minimum; its verdict, message and summary must be
+    """The bounded check computes exact residuals only at the pairs a filter
+    cannot decide and at the candidates for the minimum: from
+    PAIRWISE_SUM_MIN_COLUMNS columns on a GEMM filter of every pair, below
+    that width a filter of blocks of ROW_BLOCK rows on traces of at least
+    ROW_FILTER_MIN_ROWS rows.  Its verdict, message and summary must be
     those of the whole matrix."""
 
     @given(
@@ -716,6 +757,128 @@ class TestBoundedFilter:
         wx, wt, xs, ts = _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale)
         _assert_filter_matches_full_matrix(wx, wt, xs, ts, STRICT if strict else TolerancePolicy())
 
+    @given(
+        m=st.sampled_from([1, 2, 7]),
+        n_points=st.integers(ROW_FILTER_MIN_ROWS, ROW_FILTER_MIN_ROWS + 3 * ROW_BLOCK + 1),
+        n_witnesses=st.integers(1, 6),
+        offset=st.sampled_from([0.0, 1e3, 1e6, -1e8]),
+        ulps=st.integers(-4, 4),
+        scale=st.sampled_from([1.0, 2.0**520, 2.0**-520, 2.0**-540]),
+        seed=st.integers(0, 2**32 - 1),
+        strict=st.booleans(),
+        walk=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_near_boundary_witnesses_on_long_narrow_traces(self, m, n_points, n_witnesses, offset,
+                                                           ulps, scale, seed, strict, walk):
+        rng = np.random.default_rng(seed)
+        wx, wt, xs, ts = _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale,
+                                              walk)
+        _assert_filter_matches_full_matrix(wx, wt, xs, ts, STRICT if strict else TolerancePolicy())
+        _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_row_blocks_decide_honest_traces(self, m):
+        # on a converging trace nearly every block is skipped
+        spec, x0 = _affine(m, seed=800 + m, lam=0.995)
+        trace = run(spec, x0, FixedCount(3000))
+        om = OmegaSpec.for_problem(spec, x0)
+        witnesses = certificate.default_witnesses(om)
+        wx = np.array([w.x for w in witnesses]).reshape(len(witnesses), m)
+        wt = np.array([w.t for w in witnesses])
+        skipped = _assert_skipped_pairs_above_anchor_minimum(wx, wt, trace.xs, trace.ts)
+        assert skipped.mean() > 0.99
+        _assert_same_certificate(trace, witnesses)
+
+    @pytest.mark.parametrize("n_points", [ROW_FILTER_MIN_ROWS - 1, ROW_FILTER_MIN_ROWS])
+    def test_short_narrow_traces_fill_the_whole_matrix(self, n_points, monkeypatch):
+        calls = []
+        pairs_in_blocks = certificate._pairs_in_undecided_blocks
+        monkeypatch.setattr(certificate, "_pairs_in_undecided_blocks",
+                            lambda *args: calls.append(args) or pairs_in_blocks(*args))
+        spec, x0 = _affine(2, seed=900, lam=0.999)
+        _assert_same_certificate(run(spec, x0, FixedCount(n_points - 1)))
+        assert len(calls) == (n_points >= ROW_FILTER_MIN_ROWS)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_tampered_rows_fail_in_late_blocks(self, m):
+        spec, x0 = _affine(m, seed=1000 + m, lam=0.995)
+        trace = run(spec, x0, FixedCount(1500))
+        om = OmegaSpec.for_problem(spec, x0)
+        witnesses = certificate.default_witnesses(om, 8, seed=2)
+        wx = np.array([w.x for w in witnesses]).reshape(len(witnesses), m)
+        wt = np.array([w.t for w in witnesses])
+        n_points = trace.ts.size
+        last_block = (n_points - 1) // ROW_BLOCK * ROW_BLOCK
+        for row in (n_points - 1, n_points - 2, last_block, last_block - 1, 17 * ROW_BLOCK + 5):
+            for kind in ("x", "t"):
+                xs, ts = trace.xs.copy(), trace.ts.copy()
+                if kind == "x":
+                    xs[row] += 2.0 * float(np.max(wt))
+                else:
+                    ts[row] = 2.0 * float(np.max(wt))
+                for tol in (TolerancePolicy(), STRICT):
+                    failure, _ = _assert_filter_matches_full_matrix(wx, wt, xs, ts, tol)
+                    assert failure.startswith(f"bounded check failed for witness 0 at step {row} ")
+                _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts)
+                tampered = IterationTrace(spec=spec, x0=x0, d=trace.d, xs=xs, ts=ts,
+                                          stop_reason=None)
+                assert not _assert_same_certificate(tampered, witnesses).passed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["far-witness", "far-anchor", "far-apart-rows"])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_overflowing_differences_keep_their_blocks(self, m, case):
+        # A difference that overflows makes a NaN: in a residual (a witness
+        # far from row 300), in H (also far from an anchor, row 319), or in
+        # the spread of the block of rows 256-319, which then holds the only
+        # failures.  The blocks with a NaN are kept.
+        rng = np.random.default_rng(m)
+        n_points = ROW_FILTER_MIN_ROWS + 100
+        xs = np.cumsum(rng.standard_normal((n_points, m)) * 1e-3, axis=0)
+        ts = np.linspace(0.0, 1.0, n_points)
+        xs[300] = -1.5e308
+        wx = np.vstack([np.full(m, 1.5e308), xs[-1] + 1.0])
+        wt = np.array([1e3, 1e3])
+        if case == "far-anchor":
+            xs[319] = -1.5e308
+        elif case == "far-apart-rows":
+            xs[319] = 1.5e308
+            wx, wt = wx[1:], wt[1:]
+        # a NaN's sign bit depends on the operation that made it (np.min
+        # makes its own): the summary is compared with that of the whole
+        # matrix, as the check takes it on a short trace
+        residuals = certificate._bounded_residuals(wx, wt, xs, ts)
+        whole = certificate._summary_of_pairs(wx, wt, xs, ts, residuals.ravel())
+        for tol in (TolerancePolicy(), STRICT):
+            failure, summary, rows = certificate._bounded_check(wx, wt, xs, ts, tol)
+            assert failure == _full_matrix_bounded_check(wx, wt, xs, ts, tol)[0]
+            assert _bits(tuple(summary)) == _bits(tuple(whole))
+            assert np.array(rows()).tobytes() == residuals.tobytes()
+            if case == "far-apart-rows":
+                assert failure.startswith("bounded check failed for witness 0 at step 300 ")
+            else:
+                assert np.isnan(summary.min_residual) and summary[2:] == (0, 300)
+        _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts)
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_pair_residuals_are_the_matrix_entries(self, m):
+        rng = np.random.default_rng(40 + m)
+        n_points = 70
+        xs = rng.standard_normal((n_points, m)) * np.exp(rng.uniform(-20, 20, (n_points, m)))
+        xs[3] = 0.0
+        xs[4] = -0.0
+        xs[5] = 5e-324
+        ts = np.abs(rng.standard_normal(n_points))
+        wx = np.vstack([rng.standard_normal((5, m)), xs[3], xs[5], -xs[7]])
+        wt = np.concatenate([rng.uniform(0.0, 10.0, 5), [0.0, -0.0, ts[7]]])
+        matrix = certificate._bounded_residuals(wx, wt, xs, ts)
+        for size in (1, 57, 3 * n_points + 11, wt.size * n_points):
+            flat = np.sort(rng.choice(wt.size * n_points, size, replace=False))
+            i, n = np.divmod(flat, n_points)
+            got = certificate._pair_residuals(wx, wt, xs, ts, i, n)
+            assert got.tobytes() == matrix[i, n].tobytes()
+
     @pytest.mark.parametrize("m", [8, 20])
     def test_decides_well_separated_pairs(self, m):
         # honest witnesses leave only the pair holding the minimum
@@ -728,14 +891,18 @@ class TestBoundedFilter:
         exact = certificate._undecided_or_near_min(wx, wt, trace.xs, trace.ts)
         assert exact.sum() == 1
 
-    @pytest.mark.parametrize("n_points", [9, 17, 100])
-    def test_zero_minimum_takes_the_sign_of_np_min(self, n_points):
+    @staticmethod
+    def _assert_zero_minimum_takes_the_sign_of_np_min(m, n_points):
         # witness 1 meets its row's minimum 0 twice, once as -0.0 and once as
         # +0.0; np.min's choice between them depends on its order
         rng = np.random.default_rng(n_points)
-        xs = rng.standard_normal((n_points, 8))
+        xs = rng.standard_normal((n_points, m))
         ts = np.full(n_points, -1e3)
-        for a, b in ((2, 5), (5, 2), (0, n_points - 1), (n_points - 1, 0)):
+        pairs = [(2, 5), (5, 2), (0, n_points - 1), (n_points - 1, 0)]
+        if n_points > 2 * ROW_BLOCK:
+            # both in one block, and each in another block's first row
+            pairs += [(ROW_BLOCK + 1, ROW_BLOCK + 9), (ROW_BLOCK, 2 * ROW_BLOCK)]
+        for a, b in pairs:
             xs_ab, ts_ab = xs.copy(), ts.copy()
             xs_ab[b] = xs_ab[a]
             ts_ab[a], ts_ab[b] = 0.0, -0.0
@@ -743,6 +910,17 @@ class TestBoundedFilter:
             wt = np.array([1e4, -0.0])
             got = _assert_filter_matches_full_matrix(wx, wt, xs_ab, ts_ab, TolerancePolicy())
             assert got[1].min_residual == 0.0 and got[1].argmin_witness == 1
+            if m < 8 and n_points >= ROW_FILTER_MIN_ROWS:
+                _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs_ab, ts_ab)
+
+    @pytest.mark.parametrize("n_points", [9, 17, 100])
+    def test_zero_minimum_takes_the_sign_of_np_min(self, n_points):
+        self._assert_zero_minimum_takes_the_sign_of_np_min(8, n_points)
+
+    @pytest.mark.parametrize("n_points", [ROW_FILTER_MIN_ROWS, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_zero_minimum_on_long_narrow_traces(self, m, n_points):
+        self._assert_zero_minimum_takes_the_sign_of_np_min(m, n_points)
 
     def test_identical_witnesses_tie_to_the_lower_index(self):
         spec, x0 = _affine(12, seed=600)

@@ -13,7 +13,8 @@ from cone_fixpoint import (
 )
 from cone_fixpoint import certificate
 from cone_fixpoint.cli import main
-from cone_fixpoint.traceio import map_to_dict, trace_csv_header, write_trace_csv
+from cone_fixpoint.cone import row_norms
+from cone_fixpoint.traceio import map_to_dict, read_trace_csv, trace_csv_header, write_trace_csv
 
 
 def read_csv(path):
@@ -648,6 +649,42 @@ def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, cap
         "count": 33 * len(rows[0]), "min_residual": mins[w], "argmin_witness": w,
         "argmin_step": rows[w].index(mins[w]),
     }
+    assert docs["verify"]["checks"]["bounded"] == docs["full"]["checks"]["bounded"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_certify_full_rows_on_long_narrow_traces(m, in_tmp, monkeypatch, capsys):
+    """Below PAIRWISE_SUM_MIN_COLUMNS columns, a trace of at least
+    ROW_FILTER_MIN_ROWS rows is decided by row blocks: ``certify`` fills the
+    residual matrix only for ``--full``, its rows are the whole matrix bit
+    for bit, and the summary is the same with and without it."""
+    rng = np.random.default_rng(30 + m)
+    raw = rng.standard_normal((m, m))
+    lam = 0.99
+    spec = Affine(a=raw * (lam / np.linalg.svd(raw, compute_uv=False)[0]),
+                  b=rng.standard_normal(m), lam=lam)
+    problem = {"dimension": m, "lambda": lam, "map": map_to_dict(spec),
+               "x0": (10.0 * rng.standard_normal(m)).tolist(), "eps": 1e-9}
+    (in_tmp / "p.json").write_text(json.dumps(problem))
+    assert main(["solve", "--problem", "p.json", "--out", "trace.csv"]) == 0
+    trace = read_trace_csv("trace.csv", spec)
+    assert trace.ts.size >= certificate.ROW_FILTER_MIN_ROWS
+    fills = []
+    fill = certificate._bounded_residuals
+    monkeypatch.setattr(certificate, "_bounded_residuals",
+                        lambda *args: fills.append(args) or fill(*args))
+    docs = {}
+    for name, extra in (("verify", []), ("full", ["--full"])):
+        argv = ["certify", "--problem", "p.json", "--verify", "trace.csv", *extra,
+                "--out", f"{name}.json"]
+        assert main(argv) == 0
+        docs[name] = json.loads((in_tmp / f"{name}.json").read_text())
+        assert len(fills) == (name == "full")
+    capsys.readouterr()
+    wx = np.array([w["x"] for w in docs["full"]["witnesses"]])
+    wt = np.array([w["t"] for w in docs["full"]["witnesses"]])
+    whole = np.array([(w_t - trace.ts) - row_norms(w_x - trace.xs) for w_x, w_t in zip(wx, wt)])
+    assert np.array(docs["full"]["full_residuals"]["bounded"]).tobytes() == whole.tobytes()
     assert docs["verify"]["checks"]["bounded"] == docs["full"]["checks"]["bounded"]
 
 

@@ -107,6 +107,51 @@ class TestScalarMap:
         assert math.copysign(1.0, spec._scalar_map()(-0.0)) == 1.0
 
 
+def _edge_vectors(rng, m, count):
+    """Points of m coordinates drawn from EDGE_INPUTS and ordinary values."""
+    pool = np.array(EDGE_INPUTS + [1.25, -7.5, 1e-3])
+    return [rng.choice(pool, m) for _ in range(count)]
+
+
+def _apply_into_specs(m, rng):
+    """Specs of every family at width m, with signed-zero, subnormal and
+    overflowing coefficients."""
+    coefficients = np.array(SIGNED_COEFFICIENTS + [0.5, -0.25, 1.5])
+    specs = [Affine(a=rng.choice(coefficients, (m, m)), b=rng.choice(coefficients, m), lam=0.95)
+             for _ in range(4 if m > 50 else 12)]
+    specs += [Constant(c=rng.choice(coefficients, m), lam=0.5) for _ in range(4)]
+    if m == 1:
+        specs += SCALAR_SPECS["kepler"][::7]
+    if m == 2:
+        specs += [ScaledRotation(theta=theta, scale=scale, b=rng.choice(coefficients, 2), lam=0.95)
+                  for theta in (0.0, 1.234, -math.pi) for scale in (0.9, -0.9, -0.0, 2.0**-600)]
+    return specs
+
+
+class TestApplyInto:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 300])
+    def test_same_bits_as_apply(self, m):
+        # The engine's array loop writes f(x^n) into row n+1 of its buffer,
+        # x^n being row n: the bits must be those of _apply, the sign of a
+        # zero, an overflow to inf and a NaN included, whatever the row held.
+        rng = np.random.default_rng(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec in _apply_into_specs(m, rng):
+                for x in _edge_vectors(rng, m, 3 if m > 50 else 20):
+                    rows = np.full((2, m), np.nan)
+                    rows[0] = x
+                    spec._apply_into(rows[0], rows[1])
+                    assert rows[1].tobytes() == np.asarray(spec._apply(x)).tobytes(), (spec, x)
+                    assert rows[0].tobytes() == x.tobytes()
+
+    def test_one_by_one_affine_keeps_the_matmul_zero(self):
+        # np.dot at 1x1 would give -0 where the matmul's sum gives +0
+        spec = Affine(a=[[-0.5]], b=[-0.0], lam=0.5)
+        out = np.empty(1)
+        spec._apply_into(np.array([5e-324]), out)
+        assert out.tobytes() == np.array([0.0]).tobytes()
+
+
 class TestSpecConstruction:
     def test_lambda_must_be_inside_unit_interval(self):
         for lam in (0.0, 1.0, -0.5, 1.5, float("nan")):

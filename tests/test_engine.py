@@ -368,6 +368,43 @@ STEPPING_SCALAR_PROBLEMS = ["kepler", "kepler-negative-e", "constant", "affine-s
                             "affine-on-arrays"]
 
 
+def _assert_same_outcome(spec, x0, rule):
+    """The trace of :func:`_assert_same_as_reference`, or, where an iterate
+    or t^n overflows, an :class:`InvalidInputError` from the engine; the
+    reference loop raises only from a step norm."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ts, _, _ = _reference_run(spec, x0, rule)
+        finite = np.isfinite(xs).all() and np.isfinite(ts).all()
+    except InvalidInputError:
+        finite = False
+    if finite:
+        _assert_same_as_reference(spec, x0, rule)
+    else:
+        with pytest.raises(InvalidInputError):
+            run(spec, x0, rule)
+
+
+def _edge_affine_problems(m):
+    """Affine maps of width m whose iterates hold signed zeros, subnormals,
+    or overflow in their first coordinate, and an ordinary one."""
+    spec, x0 = _affine_problem(m, 1, lam=0.6)
+    diagonal = np.eye(m, dtype=bool)
+    signs = np.where(np.arange(m) % 2, -0.0, 0.0)
+    first = np.zeros(m)
+    first[0] = 1e308
+    return [
+        (spec, x0),
+        # halves to underflow, then stays at signed zeros
+        (Affine(a=np.where(diagonal, -(2.0**-60), signs), b=signs, lam=0.6),
+         np.where(np.arange(m) % 3, -0.0, 1.0)),
+        (Affine(a=spec.a, b=2.0**-1060 * spec.b, lam=0.6), 2.0**-1060 * x0),
+        # the first coordinate tends to 2e308 and overflows at step 2,
+        # while t^n stays below d / (1 - lam) = 6.25e307
+        (Affine(a=0.5 * np.eye(m), b=first, lam=0.6), 1.5 * first),
+    ]
+
+
 class TestSameBitsAsListLoop:
     @pytest.mark.parametrize("rule", RULES, ids=_rule_id)
     @pytest.mark.parametrize("name", [p.name for p in builtin_catalog()])
@@ -378,6 +415,36 @@ class TestSameBitsAsListLoop:
     @pytest.mark.parametrize("rule", [APriori(1e-10), APosteriori(1e-10), FixedCount(60)], ids=_rule_id)
     def test_random_affine_maps(self, rule):
         for _, spec, x0 in random_affine_instances():
+            _assert_same_as_reference(spec, x0, rule)
+
+    @pytest.mark.parametrize("rule", RULES, ids=_rule_id)
+    @pytest.mark.parametrize("m", [2, 3, 8, 300])
+    def test_affine_maps_written_in_place(self, m, rule):
+        for spec, x0 in _edge_affine_problems(m):
+            _assert_same_outcome(spec, x0, rule)
+
+    @pytest.mark.parametrize("rule", RULES, ids=_rule_id)
+    def test_rotations_constants_and_array_maps_written_in_place(self, rule):
+        problems = [
+            (ScaledRotation(theta=1.234, scale=0.9, b=[0.3, -2.0], lam=0.95), [5.0, -7.5]),
+            (ScaledRotation(theta=-2.0, scale=-0.37, b=[1e-310, -0.0], lam=0.95), [5e-324, 2.0]),
+            (ScaledRotation(theta=0.5, scale=2.0**-60, b=[-0.0, -0.0], lam=0.95), [1.0, -0.0]),
+            (ScaledRotation(theta=0.5, scale=0.5, b=[1e308, 0.0], lam=0.95), [0.0, 0.0]),
+            (Constant(c=[-0.0, 5e-324], lam=0.4), [1.0, -0.0]),
+            (Constant(c=[1.5, -2.0], lam=0.4), [0.0, 0.0]),
+            (_ArrayAffine(a=[[-0.5]], b=[-0.0], lam=0.5), [1.0]),
+            (_ArrayAffine(a=[[2.0**-60]], b=[-0.0], lam=0.5), [-1.0]),
+            (_ArrayAffine(a=[[0.9]], b=[5e-324], lam=0.95), [-0.0]),
+        ]
+        for spec, x0 in problems:
+            _assert_same_outcome(spec, x0, rule)
+
+    @pytest.mark.parametrize("max_iterations", [63, 64, 65, 129, 300])
+    def test_in_place_rows_past_buffer_growth(self, max_iterations):
+        # affine maps of every width are taken by test_max_iterations_past_buffer_growth
+        rule = APosteriori(1e-300, max_iterations=max_iterations)
+        for spec, x0 in [(ScaledRotation(theta=0.3, scale=-0.99, b=[1.0, 2.0], lam=0.995), [0.0, 0.0]),
+                         (_ArrayAffine(a=[[0.99]], b=[-1.0], lam=0.995), [3.0])]:
             _assert_same_as_reference(spec, x0, rule)
 
     @pytest.mark.parametrize("scale", [0.9, -0.9, 0.37, -0.37])
