@@ -35,7 +35,7 @@ from .cone import (
     row_norms,
 )
 from .contraction import ContractionSpec, FilledOnFirstRead, evaluate, evaluate_batch
-from .engine import IterationTrace, first_step, refuse_non_finite_rows
+from .engine import IterationTrace, first_step, refuse_non_finite_rows, tail_bound
 from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessError
 
 DEFAULT_WITNESS_SAMPLES = 32
@@ -45,13 +45,15 @@ DEFAULT_WITNESS_SAMPLES = 32
 # PAIRWISE_SUM_MIN_COLUMNS columns on, a block is one witness.
 BLOCK_ELEMENTS = 1 << 15
 
-# Below PAIRWISE_SUM_MIN_COLUMNS columns, the bounded check decides a trace
-# of at least ROW_FILTER_MIN_ROWS rows by blocks of ROW_BLOCK consecutive
-# rows, and a shorter one from the whole residual matrix.  With 33
-# witnesses, the filter's fixed cost of about 0.2 ms outweighed what it
-# saved below about 600 rows at m = 1 and 300 rows at m = 2 to 7.
-ROW_BLOCK = 64
-ROW_FILTER_MIN_ROWS = 8 * ROW_BLOCK
+# The bounded check decides a trace by blocks of ROW_BLOCK consecutive rows
+# from PAIRWISE_SUM_MIN_COLUMNS columns or ROW_FILTER_MIN_ROWS rows on; a
+# shorter narrow trace, where the filter's fixed cost outweighs what it
+# saves, is decided from the whole residual matrix.  On wide_affine's seed-1
+# problems, blocks of 16, 32 and 64 rows left 160, 240 and 3824 of 124080
+# pairs to compute, and the check took about 1.9, 0.6 and 0.8 ms per operation
+# (a 2-vCPU machine, one BLAS thread).
+ROW_BLOCK = 32
+ROW_FILTER_MIN_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class OmegaSpec:
     @classmethod
     def for_problem(cls, spec: ContractionSpec, x0) -> "OmegaSpec":
         x0 = as_vector(x0)
-        return cls(spec=spec, x0=x0, d=first_step(spec, x0)[1])
+        return cls(spec=spec, x0=x0, d=first_step(spec, x0))
 
     @classmethod
     def from_trace(cls, trace: IterationTrace) -> "OmegaSpec":
@@ -201,12 +203,15 @@ class BoundedSummary(NamedTuple):
 
 def _summary_of_rows(rows) -> BoundedSummary:
     """The summary of the rows of a residual matrix: the lowest row minimum,
-    the first row that has it, and where in that row it first occurs."""
+    the first row that has it, and where in that row it first occurs.  A
+    NaN minimum is the row's first NaN itself, as the bounded check takes
+    it; a zero minimum has np.min's sign."""
     if not rows:
         return BoundedSummary(0, None, None, None)
-    mins = [float(np.min(r)) for r in rows]
+    firsts = [int(np.argmin(r)) for r in rows]  # each row's first NaN, else first lowest
+    mins = [float(r[k]) if np.isnan(r[k]) else float(np.min(r)) for r, k in zip(rows, firsts)]
     i = int(np.argmin(mins))
-    return BoundedSummary(sum(r.size for r in rows), mins[i], i, int(np.argmin(rows[i])))
+    return BoundedSummary(sum(r.size for r in rows), mins[i], i, firsts[i])
 
 
 @dataclass(frozen=True)
@@ -297,10 +302,10 @@ def _bounded_residuals(wx, wt, xs, ts) -> np.ndarray:
 
 
 def _pair_residuals(wx, wt, xs, ts, i, n) -> np.ndarray:
-    """The entries (i[k], n[k]) of :func:`_bounded_residuals`, bit for bit
-    at every width: the same operations on the gathered rows, N+1 pairs at a
-    time (:func:`row_norms` gives each row the same bits however the rows
-    are laid out)."""
+    """The entries (i[k], n[k]) of :func:`_bounded_residuals`, such as the
+    pairs the row-block filter keeps, bit for bit at every width: the same
+    operations on the gathered rows, N+1 pairs at a time (:func:`row_norms`
+    gives each row the same bits however the rows are laid out)."""
     out = np.empty(i.size)
     step = xs.shape[0]
     for a in range(0, i.size, step):
@@ -309,94 +314,66 @@ def _pair_residuals(wx, wt, xs, ts, i, n) -> np.ndarray:
     return out
 
 
-# The filter bounds each residual r = fl(g - R), with g = fl(w.t - t^n) and
-# R = row_norms(fl(w.x - x^n)), through D = fl(fl(S_w - 2 P) + S_x), where
-# S_w = w.w, P = w.x (one GEMM for all pairs) and S_x = x.x; write x for
-# x^n, w for w.x, u = 2^-53 and T = S_w + S_x.  For any summation order:
-#   * a dot product errs by at most gamma_m times the dot product of the
-#     absolute values (Higham, Accuracy and Stability, sec. 3.1), and
-#     2 |w|.|x| <= T, so with D's two additions |D - ||w - x||^2| <= (2m+5) u T;
-#   * the kernel's fl(w - x), max-abs scaling, squares, pairwise sum, sqrt
-#     and product by the scale put R^2 within a factor 1 +- gamma_{m+9} of
-#     ||w - x||^2 (its underflow is relative to the scale), and |D| <= 2.01 T;
-# so |R^2 - D| <= (4m + 24) u T, plus (5m + 1) smallest subnormals of
-# underflow in the dot products.  The slack doubles both terms: the second
-# half covers the rounding of D +- slack, of g^2 and of their square roots.
-# Its absolute term is counted in smallest normals, which also covers a
-# BLAS that flushes subnormal results to zero.
-def _undecided_or_near_min(wx, wt, xs, ts) -> np.ndarray:
-    """The (W, N+1) mask of the pairs whose residual must be computed
-    exactly: those the filter cannot show to be >= 0, and those whose
-    residual may be the lowest.
-
-    A pair is decided when g >= 0 and g^2 >= D + slack, which implies
-    R <= g and so r >= 0.  A non-finite bound leaves it undecided.  The
-    residual of a decided pair lies in [g - sqrt(D + slack),
-    g - sqrt(max(D - slack, 0))], rounding being monotone; any pair whose
-    lower end is at most the lowest upper end may hold the minimum.
-    """
-    m = xs.shape[1]
-    rel, absolute = (8 * m + 48) * 2.0**-53, (16 * m + 16) * 2.0**-1022
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = wt[:, None] - ts
-        sw, sx = np.vecdot(wx, wx), np.vecdot(xs, xs)
-        dist2 = sw[:, None] - 2.0 * (wx @ xs.T)
-        dist2 += sx
-        slack = sw[:, None] + sx
-        slack *= rel
-        slack += absolute
-        upper, lower = dist2 + slack, dist2 - slack
-        decided = (gaps >= 0.0) & (gaps * gaps >= upper) & np.isfinite(upper)
-        highest = np.where(decided, gaps - np.sqrt(np.maximum(lower, 0.0)), np.inf)
-        return ~decided | (gaps - np.sqrt(upper) <= highest.min(initial=np.inf))
-
-
 # The row-block filter bounds from below every residual r = fl(g - R) of a
 # block, g = fl(w.t - t^n) and R = row_norms(fl(w.x - x^n)), through the
 # block's anchor c, its last row.  Write a = ||w.x - x^n||, u = 2^-53,
-# eta = 2^-1022 and gamma = gamma_{m+9} <= 1.01 (m + 9) u, with m < 8 here.
-#   * For any two points, the narrow kernel puts R^2 within a factor
-#     1 +- gamma of their squared distance (see above _undecided_or_near_min);
-#     the product by the scale, and subnormal differences flushed to zero,
-#     add at most (m + 1) eta.  So R <= (1 + gamma) a + (m + 1) eta and
+# eta = 2^-1022 (it also covers subnormal results flushed to zero), L =
+# ROW_BLOCK, gamma_k = k u / (1 - k u) and gamma = gamma_{m+9}, and take
+# m <= 2^40, so gamma <= 1.01 (m + 9) u.
+#   * row_norms' fl(w - x), max-abs scaling, squares, sum in any order
+#     (gamma_m, Higham, Accuracy and Stability, sec. 3.1), sqrt and product
+#     by the scale put R^2 within a factor 1 +- gamma of the squared
+#     distance of any two points (underflow is relative to the scale); the
+#     product by the scale, and subnormal differences, add at most
+#     (m + 1) eta.  So R <= (1 + gamma) a + (m + 1) eta and
 #     a <= (1 + gamma)(R + (m + 1) eta).
-#   * With D = R(w.x, c), P the largest R(x^n, c) of the block and the
-#     triangle inequality a <= ||w.x - c|| + ||x^n - c||, every R of the
-#     block is at most (1 + gamma)^2 (D + P) + 3.1 (m + 1) eta.
-#   * U = fl(fl(fl(D + P) K) + A) loses at most a factor 1 - u at each
+#   * Every x^n of a block is within the exact path length of the steps
+#     from it to c, and the block's float sum P of at most L step norms
+#     S_k = R(x^{k+1}, x^k) (it also sums the step out of c) is at least
+#     (1 - gamma_{L-1}) times their exact sum.  So ||x^n - c|| <=
+#     (1 + gamma)(P / (1 - gamma_{L-1}) + L (m + 1) eta) <=
+#     P' = fl(fl(P K') + A'): K' = 1 + (2m + 2L + 20) u is at least
+#     (1 + gamma) / ((1 - gamma_{L-1}) (1 - u)^2), about 1 + (m + L + 10) u,
+#     and A' = 2 L (m + 1) eta covers the absolute term and the eta the
+#     product loses where it underflows.
+#   * With D = R(w.x, c) and the triangle inequality a <= ||w.x - c|| +
+#     ||x^n - c||, every R of the block is at most (1 + gamma)^2 (D + P') +
+#     3.1 (m + 1) eta.
+#   * U = fl(fl(fl(D + P') K) + A) loses at most a factor 1 - u at each
 #     step, and eta where the product underflows.  K = 1 + (4m + 48) u is
-#     (1 + gamma)^2 / (1 - u)^3 with its relative term doubled, and
+#     at least (1 + gamma)^2 / (1 - u)^3, about 1 + (2m + 21) u, and
 #     A = (8m + 16) eta about twice the absolute terms, so U >= R.
 #   * With T the largest t^n of the block, fl(w.t - T) <= g; rounding is
 #     monotone, so r >= fl(fl(w.t - T) - U), the block's bound.
 # A difference or a norm that overflows exceeds U before rounding, so U is
-# inf, or NaN from a NaN D or P, and the bound is -inf or NaN: no NaN
+# inf, or NaN from a NaN D or S_k, and the bound is -inf or NaN: no NaN
 # residual lies in a skipped block.
 @np.errstate(over="ignore", invalid="ignore")
-def _pairs_in_undecided_blocks(wx, wt, xs, ts) -> np.ndarray:
+def _pairs_in_undecided_blocks(wx, wt, xs, ts, steps) -> np.ndarray:
     """The flat indices (w (N+1) + n, ascending) of the pairs whose residual
-    must be computed exactly, below PAIRWISE_SUM_MIN_COLUMNS columns: every
-    pair of each (witness, block of ROW_BLOCK rows) whose lower bound
-    (derivation above) is not above max(H, 0), H being the lowest exact
-    residual at the blocks' anchors.  A skipped pair's residual is > 0, so
-    it passes, and > H, so it is not the lowest; a NaN bound or a NaN H
-    keeps the block."""
+    must be computed exactly: every pair of each (witness, block of
+    ROW_BLOCK rows) whose lower bound (derivation above, from the step norms
+    ``steps`` = row_norms(fl(x^{k+1} - x^k))) is not above max(H, 0), H
+    being the lowest exact residual at the blocks' anchors.  A skipped
+    pair's residual is > 0, so it passes, and > H, so it is not the lowest;
+    a NaN bound or a NaN H keeps the block."""
     n_points, m = xs.shape
-    n_blocks = -(-n_points // ROW_BLOCK)
-    # row indices per block, the short last block padded with its anchor
-    rows = np.minimum(np.arange(n_blocks * ROW_BLOCK), n_points - 1).reshape(n_blocks, ROW_BLOCK)
-    anchors = rows[:, -1]
-    spread = np.max(row_norms(xs[rows] - xs[anchors, None, :]), axis=1)
-    top_t = np.max(ts[rows], axis=1)
+    starts = np.arange(0, n_points, ROW_BLOCK)
+    anchors = np.minimum(starts + (ROW_BLOCK - 1), n_points - 1)
+    # P' of each block: its summed step norms, rounded up to a path length
+    path = np.add.reduceat(np.append(steps, 0.0), starts)
+    path *= 1.0 + (2 * (m + ROW_BLOCK) + 20) * 2.0**-53
+    path += 2 * ROW_BLOCK * (m + 1) * 2.0**-1022
+    top_t = np.maximum.reduceat(ts, starts)
     dist = row_norms(wx[:, None, :] - xs[anchors])
     # the exact residuals at the anchors, the same bits as their matrix entries
     lowest = np.min((wt[:, None] - ts[anchors]) - dist, initial=np.inf)
     rel, absolute = 1.0 + (4 * m + 48) * 2.0**-53, (8 * m + 16) * 2.0**-1022
-    reach = (dist + spread) * rel + absolute
+    reach = (dist + path) * rel + absolute
     keep = ~((wt[:, None] - top_t) - reach > np.maximum(lowest, 0.0))
     w, k = np.nonzero(keep)
-    steps = k[:, None] * ROW_BLOCK + np.arange(ROW_BLOCK)
-    return (w[:, None] * n_points + steps)[steps < n_points]
+    rows = k[:, None] * ROW_BLOCK + np.arange(ROW_BLOCK)
+    return (w[:, None] * n_points + rows)[rows < n_points]
 
 
 def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
@@ -416,19 +393,17 @@ def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
     return BoundedSummary(wt.size * ts.size, low, w, n)
 
 
-def _bounded_check(wx, wt, xs, ts, tol):
+def _bounded_check(wx, wt, xs, ts, steps, tol):
     """The bounded check's first failure, its summary and its
-    ``witness_residuals``.  Only the pairs with exact residuals depend on
-    the shape of the trace: from PAIRWISE_SUM_MIN_COLUMNS columns on, the
-    pairs the GEMM filter leaves; below that width, on a trace of at least
-    ROW_FILTER_MIN_ROWS rows, the pairs of the blocks the row-block filter
-    leaves; on a shorter one, every pair, the whole matrix being cheap.
-    Where a filter ran, the matrix is filled on first read."""
+    ``witness_residuals``, given the step norms ``steps`` of the trace.
+    Only the pairs with exact residuals depend on the shape of the trace:
+    from PAIRWISE_SUM_MIN_COLUMNS columns or ROW_FILTER_MIN_ROWS rows on,
+    the pairs of the blocks the row-block filter keeps, and the matrix is
+    filled on first read; on a shorter narrow trace, every pair, the whole
+    matrix being cheap."""
     n_points, m = xs.shape
-    if m >= PAIRWISE_SUM_MIN_COLUMNS:
-        pairs = np.flatnonzero(_undecided_or_near_min(wx, wt, xs, ts))
-    elif n_points >= ROW_FILTER_MIN_ROWS:
-        pairs = _pairs_in_undecided_blocks(wx, wt, xs, ts)
+    if m >= PAIRWISE_SUM_MIN_COLUMNS or n_points >= ROW_FILTER_MIN_ROWS:
+        pairs = _pairs_in_undecided_blocks(wx, wt, xs, ts, steps)
     else:
         pairs = None
     if pairs is None:
@@ -469,13 +444,13 @@ def verify_certificate(
 
     Each check runs on whole arrays; every residual and verdict is bit for
     bit what the per-witness, per-step definition in the module docstring
-    gives.  The bounded check computes exact residuals only for the pairs a
-    rigorous filter cannot decide and for the candidates for its minimum:
-    from PAIRWISE_SUM_MIN_COLUMNS columns on, a GEMM filter of every pair;
-    below that width, on traces of at least ROW_FILTER_MIN_ROWS points, a
-    filter of blocks of ROW_BLOCK consecutive points.  ``witness_residuals``
-    are then filled on first read; on shorter narrow traces the whole matrix
-    is computed.
+    gives.  The bounded check computes exact residuals only for the pairs
+    in blocks of ROW_BLOCK consecutive points that a rigorous filter cannot
+    decide or that may hold its minimum; the filter bounds how far a block's
+    points lie from its last by the step norms of the monotone check.
+    ``witness_residuals`` are then filled on first read.  On traces of
+    fewer than PAIRWISE_SUM_MIN_COLUMNS coordinates and ROW_FILTER_MIN_ROWS
+    points the whole matrix is computed.
     """
     if tol is None:
         tol = TolerancePolicy.default()
@@ -495,7 +470,7 @@ def verify_certificate(
 
     n_steps = ts.size - 1
     t_star = om.t_star
-    stop_bound = lam**n_steps * t_star
+    stop_bound = tail_bound(d, lam, n_steps)
     x_star = xs[-1]
     limit_point = AugmentedPoint(x_star, t_star)
 
@@ -505,13 +480,14 @@ def verify_certificate(
 
     # (a) monotone: each step's t increment must dominate the step norm.
     dts = np.diff(ts)
-    monotone_residuals = dts - row_norms(np.diff(xs, axis=0))
+    steps = row_norms(np.diff(xs, axis=0))
+    monotone_residuals = dts - steps
     n = _first_excess(-monotone_residuals, tol.margin(dts))
     if n is not None:
         failures.append(f"monotone check failed at step {n} (residual {monotone_residuals[n]:.6e})")
 
     # (b) bounded: every witness dominates every trace point.
-    bounded_failure, bounded_summary, witness_residuals = _bounded_check(wx, wt, xs, ts, tol)
+    bounded_failure, bounded_summary, witness_residuals = _bounded_check(wx, wt, xs, ts, steps, tol)
     if bounded_failure is not None:
         failures.append(bounded_failure)
 

@@ -158,7 +158,12 @@ class IterationTrace:
 
     def final_bound(self) -> float:
         """Certified distance from the final iterate to the fixed point."""
-        return self.spec.lam ** self.n_steps * self.d / (1.0 - self.spec.lam)
+        return tail_bound(self.d, self.spec.lam, self.n_steps)
+
+
+def tail_bound(d: float, lam: float, n: int) -> float:
+    """lam^n d / (1 - lam), rounded as lam^n t*: the one rounding of every tail bound."""
+    return lam**n * (d / (1.0 - lam))
 
 
 def augmented_step(spec: ContractionSpec, current: AugmentedPoint, d: float) -> AugmentedPoint:
@@ -189,14 +194,11 @@ def a_priori_iterations(d: float, lam: float, eps: float) -> int:
     if d == 0.0 or d / (1.0 - lam) <= eps:
         return 0
 
-    def bound(n: int) -> float:
-        return lam**n * d / (1.0 - lam)
-
     n = max(0, math.ceil(math.log(eps * (1.0 - lam) / d) / math.log(lam)))
     # log arithmetic can be off by one either way; settle it exactly.
-    while n > 0 and bound(n - 1) <= eps:
+    while n > 0 and tail_bound(d, lam, n - 1) <= eps:
         n -= 1
-    while bound(n) > eps:
+    while tail_bound(d, lam, n) > eps:
         n += 1
     return n
 
@@ -268,13 +270,12 @@ def _stop_test(stop_factor: float, eps: float, m: int, on_floats: bool):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def first_step(spec: ContractionSpec, x0: np.ndarray) -> tuple[np.ndarray, float]:
-    """x^1 = f(x^0) and the first step norm d = ||x^1 - x^0|| at a validated
-    x0: the one place d is computed, for a run, a reloaded trace and the
-    verifier's Omega.  A map that overflows at x0 raises only
-    :func:`norm`'s non-finite error, with no numpy warning."""
-    x1 = evaluate(spec, x0)
-    return x1, norm(x1 - x0)
+def first_step(spec: ContractionSpec, x0: np.ndarray) -> float:
+    """The first step norm d = ||f(x^0) - x^0|| at a validated x0: the one
+    place d is computed, for a run, a reloaded trace and the verifier's
+    Omega.  A map that overflows at x0 raises only :func:`norm`'s non-finite
+    error, with no numpy warning."""
+    return norm(evaluate(spec, x0) - x0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -316,7 +317,7 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
             f"the bound d / (1 - lambda) amplifies rounding",
         )
 
-    x1, d = first_step(spec, x0)
+    d = first_step(spec, x0)
 
     # steps is the step count when known in advance, None when the
     # a-posteriori test decides it on the fly.
@@ -337,7 +338,7 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     scalar_map = spec._scalar_map() if x0.size == 1 else None
     on_floats = scalar_map is not None
     if on_floats:
-        apply, x, x1, row_shape = scalar_map, float(x0[0]), float(x1[0]), ()
+        apply, x, row_shape = scalar_map, float(x0[0]), ()
     else:
         apply, x, row_shape = spec._apply_into, x0, (x0.size,)
     if steps is None:
@@ -359,13 +360,10 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
             rows = xs.shape[0]
         ts[n] = t
         if on_floats:
-            xs[n] = x_next = apply(x) if n > 1 else x1
+            xs[n] = x_next = apply(x)
         else:
             x_next = xs[n]
-            if n > 1:
-                apply(x, x_next)
-            else:
-                x_next[...] = x1
+            apply(x, x_next)
         if steps is None:
             if stops(x_next - x):
                 break

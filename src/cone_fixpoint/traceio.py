@@ -132,7 +132,7 @@ def read_trace_csv(path: str, spec: ContractionSpec, x0=None) -> IterationTrace:
             f"{path}: non-finite value in trace row {int(np.argmin(finite))}"
         )
     x0 = xs[0] if x0 is None else np.asarray(x0, dtype=float)
-    d = first_step(spec, x0)[1]
+    d = first_step(spec, x0)
     return IterationTrace(
         spec=spec, x0=x0, d=d, xs=xs, ts=ts, stop_reason=None,
     )

@@ -35,7 +35,7 @@ from cone_fixpoint import (
 )
 from cone_fixpoint import certificate
 from cone_fixpoint.certificate import ROW_BLOCK, ROW_FILTER_MIN_ROWS
-from cone_fixpoint.cone import norm_each_row, row_norms
+from cone_fixpoint.cone import PAIRWISE_SUM_MIN_COLUMNS, norm_each_row, row_norms
 from test_acceptance import random_affine_instances
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
@@ -608,7 +608,7 @@ class TestSameBitsAsPerWitnessVerifier:
         assert np.isnan(got[1:5]).all() and got[0] == got[5] == norm(xs[0])
 
 
-# --- the bounded check's GEMM filter ------------------------------------------
+# --- the bounded check's row-block filter -------------------------------------
 
 class TestSampledWitnessBoundsReused:
     """When verify_certificate samples its own witnesses it applies the map
@@ -667,13 +667,20 @@ def _full_matrix_bounded_check(wx, wt, xs, ts, tol):
             break
     if not rows:
         return failure, (0, None, None, None)
-    mins = [float(np.min(r)) for r in rows]
+    # a NaN minimum is the row's first NaN itself, not the NaN np.min makes
+    mins = [r[np.isnan(r)][0] if np.isnan(r).any() else float(np.min(r)) for r in rows]
     w = int(np.argmin(mins))
-    return failure, (len(rows) * ts.size, mins[w], w, int(np.argmin(rows[w])))
+    return failure, (len(rows) * ts.size, float(mins[w]), w, int(np.argmin(rows[w])))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _step_norms(xs):
+    """The step norms the verifier passes to the bounded check."""
+    return row_norms(np.diff(xs, axis=0))
 
 
 def _assert_filter_matches_full_matrix(wx, wt, xs, ts, tol):
-    got = certificate._bounded_check(wx, wt, xs, ts, tol)[:2]
+    got = certificate._bounded_check(wx, wt, xs, ts, _step_norms(xs), tol)[:2]
     want = _full_matrix_bounded_check(wx, wt, xs, ts, tol)
     assert got[0] == want[0]
     assert _bits(tuple(got[1])) == _bits(want[1])
@@ -714,7 +721,7 @@ def _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts):
     residual of the whole matrix above max(H, 0), H the lowest residual at
     the anchors; with a NaN there, no pair is skipped."""
     n_points = ts.size
-    pairs = certificate._pairs_in_undecided_blocks(wx, wt, xs, ts)
+    pairs = certificate._pairs_in_undecided_blocks(wx, wt, xs, ts, _step_norms(xs))
     assert np.all(np.diff(pairs) > 0)
     full = np.array([(w_t - ts) - _reference_row_norms(w_x - xs) for w_x, w_t in zip(wx, wt)])
     full = full.reshape(wt.size, n_points)
@@ -732,13 +739,13 @@ def _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts):
 
 
 class TestBoundedFilter:
-    """The bounded check computes exact residuals only at the pairs a filter
-    cannot decide and at the candidates for the minimum: from
-    PAIRWISE_SUM_MIN_COLUMNS columns on a GEMM filter of every pair, below
-    that width a filter of blocks of ROW_BLOCK rows on traces of at least
-    ROW_FILTER_MIN_ROWS rows.  Its verdict, message and summary must be
-    those of the whole matrix."""
+    """The bounded check computes exact residuals only at the pairs of the
+    blocks of ROW_BLOCK rows a filter cannot decide or that may hold the
+    minimum, from PAIRWISE_SUM_MIN_COLUMNS columns or ROW_FILTER_MIN_ROWS
+    rows on.  Its verdict, message and summary must be those of the whole
+    matrix."""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(
         m=st.sampled_from([1, 2, 7, 8, 9, 16, 33]),
         n_points=st.integers(1, 40),
@@ -749,13 +756,21 @@ class TestBoundedFilter:
         scale=st.sampled_from([1.0, 2.0**520, 2.0**-540]),
         seed=st.integers(0, 2**32 - 1),
         strict=st.booleans(),
+        walk=st.booleans(),
+        # a row far enough out that its differences overflow
+        far_row=st.sampled_from([None, 1.5e308, -1.5e308]),
     )
     @settings(max_examples=300, deadline=None)
     def test_near_boundary_witnesses(self, m, n_points, n_witnesses, offset, ulps, scale, seed,
-                                     strict):
+                                     strict, walk, far_row):
         rng = np.random.default_rng(seed)
-        wx, wt, xs, ts = _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale)
+        wx, wt, xs, ts = _near_boundary_pairs(rng, m, n_points, n_witnesses, offset, ulps, scale,
+                                              walk)
+        if far_row is not None:
+            xs[rng.integers(n_points)] = far_row
         _assert_filter_matches_full_matrix(wx, wt, xs, ts, STRICT if strict else TolerancePolicy())
+        if m >= PAIRWISE_SUM_MIN_COLUMNS:
+            _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts)
 
     @given(
         m=st.sampled_from([1, 2, 7]),
@@ -825,14 +840,33 @@ class TestBoundedFilter:
                                           stop_reason=None)
                 assert not _assert_same_certificate(tampered, witnesses).passed
 
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_block_path_covers_a_straight_walk(self, m):
+        # On a straight walk of unit steps, the path length of a block is
+        # its first row's distance from the anchor, so no shorter spread
+        # bounds the block.  The witness lies ahead of the walk: its
+        # residual 120 - |131 - n| fails at rows 0-10, all in the first
+        # block, and again from row 252 on, so H < 0.
+        n_points = ROW_FILTER_MIN_ROWS
+        xs = np.zeros((n_points, m))
+        xs[:, 0] = np.arange(n_points)
+        ts = np.zeros(n_points)
+        wx = np.zeros((1, m))
+        wx[0, 0] = 131.0
+        wt = np.array([120.0])
+        for tol in (TolerancePolicy(), STRICT):
+            failure, _ = _assert_filter_matches_full_matrix(wx, wt, xs, ts, tol)
+            assert failure.startswith("bounded check failed for witness 0 at step 0 ")
+        _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", ["far-witness", "far-anchor", "far-apart-rows"])
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_overflowing_differences_keep_their_blocks(self, m, case):
         # A difference that overflows makes a NaN: in a residual (a witness
-        # far from row 300), in H (also far from an anchor, row 319), or in
-        # the spread of the block of rows 256-319, which then holds the only
-        # failures.  The blocks with a NaN are kept.
+        # far from row 300), in H (also far from an anchor, row 319), or an
+        # inf in the step norms of the block of rows 288-319, which then
+        # holds the only failures.  The blocks with a NaN or inf are kept.
         rng = np.random.default_rng(m)
         n_points = ROW_FILTER_MIN_ROWS + 100
         xs = np.cumsum(rng.standard_normal((n_points, m)) * 1e-3, axis=0)
@@ -847,13 +881,16 @@ class TestBoundedFilter:
             wx, wt = wx[1:], wt[1:]
         # a NaN's sign bit depends on the operation that made it (np.min
         # makes its own): the summary is compared with that of the whole
-        # matrix, as the check takes it on a short trace
+        # matrix, as the check takes it on a short trace, and as a
+        # certificate takes it from its rows
         residuals = certificate._bounded_residuals(wx, wt, xs, ts)
         whole = certificate._summary_of_pairs(wx, wt, xs, ts, residuals.ravel())
         for tol in (TolerancePolicy(), STRICT):
-            failure, summary, rows = certificate._bounded_check(wx, wt, xs, ts, tol)
+            failure, summary, rows = certificate._bounded_check(wx, wt, xs, ts, _step_norms(xs),
+                                                                tol)
             assert failure == _full_matrix_bounded_check(wx, wt, xs, ts, tol)[0]
             assert _bits(tuple(summary)) == _bits(tuple(whole))
+            assert _bits(tuple(certificate._summary_of_rows(rows()))) == _bits(tuple(whole))
             assert np.array(rows()).tobytes() == residuals.tobytes()
             if case == "far-apart-rows":
                 assert failure.startswith("bounded check failed for witness 0 at step 300 ")
@@ -881,15 +918,19 @@ class TestBoundedFilter:
 
     @pytest.mark.parametrize("m", [8, 20])
     def test_decides_well_separated_pairs(self, m):
-        # honest witnesses leave only the pair holding the minimum
+        # honest witnesses leave the blocks of the canonical witness, which
+        # lies on Omega's boundary and holds the minimum, and at most one
+        # block of the others
         spec, x0 = _affine(m, seed=500 + m)
         trace = run(spec, x0, FixedCount(60))
         om = OmegaSpec.for_problem(spec, x0)
         witnesses = certificate.default_witnesses(om)
         wx = np.array([w.x for w in witnesses])
         wt = np.array([w.t for w in witnesses])
-        exact = certificate._undecided_or_near_min(wx, wt, trace.xs, trace.ts)
-        assert exact.sum() == 1
+        skipped = _assert_skipped_pairs_above_anchor_minimum(wx, wt, trace.xs, trace.ts)
+        kept_witnesses = np.flatnonzero(~skipped) // trace.ts.size
+        assert np.count_nonzero(kept_witnesses) <= ROW_BLOCK
+        assert _assert_same_certificate(trace, witnesses).bounded_summary.argmin_witness == 0
 
     @staticmethod
     def _assert_zero_minimum_takes_the_sign_of_np_min(m, n_points):
@@ -944,9 +985,9 @@ class TestBoundedFilter:
     @pytest.mark.parametrize("scale", [2.0**520, 2.0**-520, 2.0**-540])
     @pytest.mark.parametrize("m", WIDTHS)
     def test_extreme_scales(self, m, scale):
-        # the squares of the trace's entries overflow (2^520), so the filter
-        # decides no pair, or go subnormal (2^-520, 2^-540), while the
-        # witnesses lie within 10 of x0 whatever the scale
+        # the squares of the trace's entries overflow (2^520) or go
+        # subnormal (2^-520, 2^-540), while the witnesses lie within 10 of x0
+        # whatever the scale
         spec, x0 = _affine(m, seed=100 + m, scale=scale)
         trace = run(spec, x0, FixedCount(30))
         _assert_same_certificate(trace, seed=3)
@@ -955,8 +996,7 @@ class TestBoundedFilter:
         wx = np.array([w.x for w in witnesses])
         wt = np.array([w.t for w in witnesses])
         if m >= 8:
-            undecided = certificate._undecided_or_near_min(wx, wt, trace.xs, trace.ts)
-            assert undecided.all() == (scale > 1.0)
+            _assert_skipped_pairs_above_anchor_minimum(wx, wt, trace.xs, trace.ts)
             # a trace moved far from every witness fails for every witness
             shifted = trace.xs + 100.0 * max(abs(w.t) for w in witnesses)
             for tol in (TolerancePolicy(), STRICT):

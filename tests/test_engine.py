@@ -22,6 +22,7 @@ from cone_fixpoint import (
     norm,
     run,
     t_closed_form,
+    verify_certificate,
 )
 from test_acceptance import random_affine_instances
 
@@ -90,6 +91,15 @@ class TestAPrioriIterations:
                 assert lam**n * 2.5 / (1 - lam) <= eps
                 if n > 0:
                     assert lam ** (n - 1) * 2.5 / (1 - lam) > eps
+
+    def test_run_and_certificate_publish_one_bound(self):
+        # here (lam^77 d) / (1 - lam) rounds to eps and lam^77 (d / (1 - lam))
+        # one ulp above it: the stop rule, the trace and the certificate must
+        # all take the certificate's rounding, so that it does not exceed eps
+        d, lam, eps = 92.51572636262478, 0.45173680007497424, 4.502023380443716e-25
+        trace = run(Affine([[lam]], [d], lam), [0.0], APriori(eps))
+        assert trace.n_steps == a_priori_iterations(d, lam, eps) == 78
+        assert verify_certificate(trace).stop_bound == trace.final_bound() <= eps
 
 
 class TestRun:

@@ -280,6 +280,20 @@ cell_texts = st.one_of(
 )
 
 
+def _loadtxt_grammar(text):
+    """Whether ``np.loadtxt`` reads ``text`` as one float cell: Python's
+    ``float`` grammar, ASCII once surrounding whitespace is gone, and no
+    underscores."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 # Each example overwrites the one file it reads, so a shared tmp_path is safe.
 TMP_PATH_SHARED = [HealthCheck.function_scoped_fixture]
 
@@ -308,16 +322,22 @@ class TestReaderParity:
     @example(" 1.5\xa0")
     @example("Infinity")
     @example("")
+    @example("1E31١")
+    @example("1_0e999")
+    @example(" 1e999\xa0")
     def test_any_x_cell(self, tmp_path, text):
         """One x cell holds arbitrary text: the readers agree, or the new one
-        refuses and names the row."""
+        refuses and names the row.  A cell outside the new reader's grammar
+        that ``float()`` still reads as an overflow ("1E31" + ARABIC-INDIC
+        DIGIT ONE, "1_0e999") is malformed to the new reader, not non-finite."""
         path = tmp_path / "t.csv"
         path.write_text(_trace_text([["0", "1"], [text, "1"]], 1))
         old, new = _read_both(str(path), 1)
         if isinstance(new, tuple):
             assert isinstance(old, tuple)
             _assert_same_bits(old, new)
-        elif not isinstance(old, tuple) and "non-finite" in str(old):
+        elif (not isinstance(old, tuple) and "non-finite" in str(old)
+              and _loadtxt_grammar(text)):
             assert str(new) == str(old)
         else:
             assert re.search(r": malformed row \['1', ", str(new)), str(new)
