@@ -170,8 +170,10 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
         while not np.count_nonzero(u):  # norm(u) == 0.0; cheaper than u.any()
             u = rng.standard_normal(m)
         us[k] = u
-        radii[k] = rng.uniform(0.0, radius)
-        offsets[k] = rng.uniform(0.0, 5.0)
+        # the bits of rng.uniform(0.0, high), which numpy computes as
+        # low + (high - low) * next_double, at a third of its call cost
+        radii[k] = 0.0 + radius * rng.random()
+        offsets[k] = 0.0 + 5.0 * rng.random()
     xs = om.x0 + (radii / norm_each_row(us))[:, None] * us
     if not np.isfinite(xs).all():
         raise InvalidInputError("vector coordinates must be finite")

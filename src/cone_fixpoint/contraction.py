@@ -4,8 +4,9 @@ Only closed families are supported, so the declared factor of every spec
 can be checked against the family's true factor rather than taken on
 faith.  Each family class declares everything else about itself: its
 problem-file ``kind``, its ``file_keys``, a ``reference_fixed_point``
-computed without Picard iteration and, for m = 1, the float map the engine
-iterates; :data:`FAMILIES` maps kinds to classes.
+computed without Picard iteration, the step the engine binds once per run
+and, for m = 1, the float map it iterates; :data:`FAMILIES` maps kinds to
+classes.
 The families:
 
 * ``Constant``        f(x) = c                   (true factor 0)
@@ -81,11 +82,17 @@ class ContractionSpec(abc.ABC):
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on a validated point."""
 
-    def _apply_into(self, x: np.ndarray, out: np.ndarray):
-        """Write :meth:`_apply` of a validated point into the float64 array
-        ``out``, bit for bit: the engine's array loop steps with it straight
-        into its trace buffer.  ``out`` does not overlap ``x``."""
-        out[...] = self._apply(x)
+    def _stepper(self):
+        """A function ``step(x, out)`` that writes :meth:`_apply` of a
+        validated point into the float64 array ``out``, bit for bit: the
+        engine binds it once per run and steps its array loop with it
+        straight into the trace buffer.  ``out`` does not overlap ``x``."""
+        apply = self._apply
+
+        def step(x, out):
+            out[...] = apply(x)
+
+        return step
 
     @abc.abstractmethod
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -95,6 +102,15 @@ class ContractionSpec(abc.ABC):
         """On a map with m = 1, a float -> float function that gives exactly
         the bits of :meth:`_apply`, for the engine's float loop; None when
         the family has none.  Not called for m >= 2."""
+        return None
+
+    def _fast_scalar_map(self):
+        """On a map with a scalar map, a cheaper float -> float function
+        whose bits are not known to be those of :meth:`_apply`; None when
+        the scalar map is the cheap one.  The engine steps with it and then
+        proves its steps in one :meth:`_apply_batch` pass, so a family
+        offers one only where that pass gives each row the bits of
+        :meth:`_apply`."""
         return None
 
     @abc.abstractmethod
@@ -151,15 +167,21 @@ def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(b.size) - a, b)
 
 
-def _matvec_plus_into(a: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarray):
-    """``out = a @ x + b`` without a temporary, bit for bit from m = 2 on:
-    np.dot into ``out`` calls the same gemv as the matmul (at 1x1 it takes
-    numpy's scalar product instead, whose signed zeros differ).  np.matmul
-    into ``out`` costs twice as much when ``x`` and ``out`` are rows of one
-    buffer, as in the engine.  ``out`` is passed by position, which numpy
+def _matvec_plus_stepper(a: np.ndarray, b: np.ndarray):
+    """A ``step(x, out)`` that writes ``a @ x + b`` without a temporary, bit
+    for bit from m = 2 on: ``a.dot`` into ``out`` calls the same gemv as the
+    matmul (at 1x1 it takes numpy's scalar product instead, whose signed
+    zeros differ).  np.matmul into ``out`` costs twice as much when ``x``
+    and ``out`` are rows of one buffer, as in the engine.  The bound method
+    skips np.dot's dispatch, and ``out`` is passed by position, which numpy
     parses faster than the keyword."""
-    np.dot(a, x, out)
-    np.add(out, b, out)
+    dot, add = a.dot, np.add
+
+    def step(x, out):
+        dot(x, out)
+        add(out, b, out)
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -198,11 +220,10 @@ class Affine(ContractionSpec):
     def _apply(self, x):
         return self.a @ x + self.b
 
-    def _apply_into(self, x, out):
+    def _stepper(self):
         if self.b.size > 1:
-            _matvec_plus_into(self.a, self.b, x, out)
-        else:
-            super()._apply_into(x, out)
+            return _matvec_plus_stepper(self.a, self.b)
+        return super()._stepper()
 
     def _apply_batch(self, xs):
         return xs @ self.a.T + self.b
@@ -267,8 +288,8 @@ class ScaledRotation(ContractionSpec):
     def _apply(self, x):
         return self._matrix @ x + self.b
 
-    def _apply_into(self, x, out):
-        _matvec_plus_into(self._matrix, self.b, x, out)
+    def _stepper(self):
+        return _matvec_plus_stepper(self._matrix, self.b)
 
     def _apply_batch(self, xs):
         return xs @ self._matrix.T + self.b
@@ -343,6 +364,16 @@ class KeplerScalar(ContractionSpec):
         # need not round the same way, and it raises at inf
         mean_anomaly, e, sin = self.mean_anomaly, self.e, np.sin
         return lambda x: mean_anomaly + e * float(sin(x))
+
+    def _fast_scalar_map(self):
+        # math.sin costs about a third of np.sin on a float.  The engine's
+        # proof of its steps recomputes them with _apply_batch, one np.sin
+        # over an array: it assumes that numpy gives an element the same sin
+        # bits alone and inside a contiguous array, whichever loop (SIMD or
+        # not) it dispatches to.  x0 is finite and later iterates lie within
+        # |M| + |e|, so math.sin never meets inf.
+        mean_anomaly, e, sin = self.mean_anomaly, self.e, math.sin
+        return lambda x: mean_anomaly + e * sin(x)
 
     def true_factor(self) -> float:
         return abs(self.e)

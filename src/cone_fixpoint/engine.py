@@ -166,6 +166,14 @@ def tail_bound(d: float, lam: float, n: int) -> float:
     return lam**n * (d / (1.0 - lam))
 
 
+def _refuse_infinite_limit(d: float, lam: float):
+    """Raise :class:`InvalidInputError` when t* = d / (1 - lam) overflows:
+    no step count reaches a bound below eps from an infinite t*."""
+    if not math.isfinite(d / (1.0 - lam)):
+        raise InvalidInputError(f"t* = d / (1 - lambda) overflows at "
+                                f"d = {d:.6e}, lambda = {lam!r}")
+
+
 def augmented_step(spec: ContractionSpec, current: AugmentedPoint, d: float) -> AugmentedPoint:
     """One step of the pair iteration: (x, t) -> (f(x), lam t + d)."""
     if not (math.isfinite(d) and d >= 0.0):
@@ -191,6 +199,7 @@ def a_priori_iterations(d: float, lam: float, eps: float) -> int:
     if not (0.0 < lam < 1.0):
         raise InvalidInputError(f"lam must lie in (0, 1), got {lam}")
     _check_positive("eps", eps)
+    _refuse_infinite_limit(d, lam)
     if d == 0.0 or d / (1.0 - lam) <= eps:
         return 0
 
@@ -278,18 +287,65 @@ def first_step(spec: ContractionSpec, x0: np.ndarray) -> float:
     return norm(evaluate(spec, x0) - x0)
 
 
+def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, first: int, last: int,
+             lam: float, d: float, stops, reason: StopReason):
+    """Steps ``first``..``last`` of the pair iteration, from row first - 1 of
+    the buffers ``xs`` and ``ts``, which double (up to last + 1 rows) when
+    full.  ``step`` takes x^n to x^{n+1}: on floats it returns it, on arrays
+    it writes it into row n+1, and x^n is a view of row n.  ``stops``, when
+    given, is the a-posteriori stop test, and a run it never stops ends
+    flagged MAX_ITERATIONS.  Returns the buffers, the last step taken and
+    the stop reason."""
+    rows = xs.shape[0]
+    x = float(xs[first - 1]) if on_floats else xs[first - 1]
+    t, n = float(ts[first - 1]), first - 1
+    for n in range(first, last + 1):
+        t = lam * t + d
+        if n == rows:
+            xs, ts = _grown(xs, last + 1), _grown(ts, last + 1)
+            rows = xs.shape[0]
+        ts[n] = t
+        if on_floats:
+            xs[n] = x_next = step(x)
+        else:
+            x_next = xs[n]
+            step(x, x_next)
+        if stops is not None:
+            if stops(x_next - x):
+                break
+            if n == last:
+                reason = StopReason.MAX_ITERATIONS
+        x = x_next
+    return xs, ts, n, reason
+
+
+def _first_unproven_step(spec: ContractionSpec, xs: np.ndarray) -> int:
+    """The first step n whose float iterate ``xs[n]`` does not have the bits
+    of the family's batch map at ``xs[n - 1]``, or 0 when every step has
+    them.  Bit patterns are compared, not values, so that a zero of the
+    wrong sign counts as a difference."""
+    exact = spec._apply_batch(xs[:-1, None]).ravel()
+    differs = exact.view(np.int64) != xs[1:].view(np.int64)
+    return int(np.argmax(differs)) + 1 if differs.any() else 0
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     """Run the augmented iteration from x0 under the given stopping rule.
 
     ``spec`` and ``x0`` are validated once, at entry; the finished trace is
     checked for finiteness as a whole by :class:`IterationTrace`.  The first
-    step norm d is computed once and then frozen into the scalar recurrence.
-    The width only picks the map and the stop test the one stepping loop
-    calls: at m = 1 it iterates on Python floats through the family's scalar
-    map, whose bits are those of the array map, and otherwise (m >= 2, or a
-    spec without one) on float64 arrays through ``spec._apply_into``, which
-    writes f(x^n) straight into row n+1 of the trace buffer with the bits of
+    step norm d is computed once and then frozen into the scalar recurrence;
+    a d whose limit t* = d / (1 - lam) overflows is refused before any step.
+    The width only picks the map, bound once per run, and the stop test the
+    one stepping loop calls.  At m = 1 it iterates on Python floats through
+    the family's scalar map, whose bits are those of the array map, or
+    through a cheaper float map (``KeplerScalar``: ``math.sin`` for
+    ``np.sin``) whose steps one batched pass then compares bit for bit; from
+    the first step that differs the loop runs again on the scalar map, stop
+    decisions included.  Otherwise (m >= 2, or a spec without a scalar map)
+    it iterates on float64 arrays through ``spec._stepper()``, which writes
+    f(x^n) straight into row n+1 of the trace buffer with the bits of
     ``spec._apply``.  The rule only sets where the loop ends: when the step
     count N is known in advance (``APriori``, ``FixedCount``, or N = 0 at an
     exact fixed point) the (N+1)-row buffers are allocated once and no step
@@ -318,6 +374,7 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
         )
 
     d = first_step(spec, x0)
+    _refuse_infinite_limit(d, spec.lam)
 
     # steps is the step count when known in advance, None when the
     # a-posteriori test decides it on the fly.
@@ -337,42 +394,34 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     lam = spec.lam
     scalar_map = spec._scalar_map() if x0.size == 1 else None
     on_floats = scalar_map is not None
-    if on_floats:
-        apply, x, row_shape = scalar_map, float(x0[0]), ()
-    else:
-        apply, x, row_shape = spec._apply_into, x0, (x0.size,)
     if steps is None:
         last, rows = rule.max_iterations, min(INITIAL_ROWS, rule.max_iterations + 1)
         stops = _stop_test(lam / gap, rule.eps, x0.size, on_floats)
     else:
-        last, rows = steps, steps + 1
-    # The map writes each array row straight into the buffer, and x^n is a
-    # view of row n.  Keeping the outputs in a list, to stack them once at
-    # the end, made wide_affine's m = 300 operations about 15 % slower.
-    xs = np.empty((rows,) + row_shape)
+        last, rows, stops = steps, steps + 1, None
+    # The map writes each array row straight into the buffer.  Keeping the
+    # outputs in a list, to stack them once at the end, made wide_affine's
+    # m = 300 operations about 15 % slower.
+    if on_floats:
+        xs = np.empty(rows)
+        xs[0] = x0[0]
+        fast_map = spec._fast_scalar_map()
+        step = fast_map or scalar_map
+    else:
+        xs = np.empty((rows, x0.size))
+        xs[0] = x0
+        fast_map, step = None, spec._stepper()
     ts = np.empty(rows)
-    xs[0], ts[0] = x, 0.0
-    t, n = 0.0, 0
-    for n in range(1, last + 1):
-        t = lam * t + d
-        if n == rows:
-            xs, ts = _grown(xs, last + 1), _grown(ts, last + 1)
-            rows = xs.shape[0]
-        ts[n] = t
-        if on_floats:
-            xs[n] = x_next = apply(x)
-        else:
-            x_next = xs[n]
-            apply(x, x_next)
-        if steps is None:
-            if stops(x_next - x):
-                break
-            if n == last:
-                reason = StopReason.MAX_ITERATIONS
-        x = x_next
+    ts[0] = 0.0
+    xs, ts, n, stop = _iterate(step, on_floats, xs, ts, 1, last, lam, d, stops, reason)
+    if fast_map is not None:
+        unproven = _first_unproven_step(spec, xs[: n + 1])
+        if unproven:
+            xs, ts, n, stop = _iterate(scalar_map, True, xs, ts, unproven, last,
+                                       lam, d, stops, reason)
 
     return IterationTrace(
         spec=spec, x0=x0, d=d,
         xs=xs[: n + 1].reshape(n + 1, x0.size), ts=ts[: n + 1],
-        stop_reason=reason, warnings=warnings,
+        stop_reason=stop, warnings=warnings,
     )

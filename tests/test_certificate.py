@@ -154,6 +154,17 @@ class TestSampleOmega:
         with pytest.raises(InvalidInputError, match="^sampling radius 10 max"):
             sample_omega(om, 4, seed=0)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_draws_keep_the_bits_of_uniform(self, m):
+        # sample_omega draws radius * rng.random() where the reference
+        # sampler calls rng.uniform(0.0, radius): the same bits at any
+        # radius, from 10 (t* below 1) to 1e301
+        for c in (1e-300, 0.3, 7.0, 1e17, 1e150, 5e299):
+            om = OmegaSpec.for_problem(Constant(c=np.full(m, c), lam=0.5), np.zeros(m))
+            for seed in (0, 1, 17, 2**40):
+                assert _bits(tuple(sample_omega(om, 16, seed))) == _bits(
+                    tuple(_reference_sample_omega(om, 16, seed))), (c, seed)
+
     def test_overflowing_floor_refused(self):
         # t* = 1e300 is finite, but the floor of a sample far out overflows
         om = OmegaSpec.for_problem(Affine(a=[[-(1 - 1e-9)]], b=[1e291], lam=1 - 1e-9), [0.0])

@@ -24,15 +24,16 @@ def read_csv(path):
     return header, rows
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     """Run the CLI in a fresh interpreter with Python's default warning
-    filters, as a user would, and return the finished process."""
+    filters, as a user would, and return the finished process; past
+    ``timeout`` seconds it is killed and the test fails."""
     src = str(Path(cone_fixpoint.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONWARNINGS", None)
     code = "import sys; from cone_fixpoint.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-W", "default", "-c", code, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture
@@ -371,16 +372,37 @@ class TestProblemFiles:
 
     @pytest.mark.parametrize("command", ["solve", "certify"])
     def test_overflowing_map_prints_only_the_error(self, in_tmp, command):
-        # x^4 overflows: the engine's map evaluation must not warn
+        # x^2 overflows, while t* = 5e307 is finite: the engine's map
+        # evaluation must not warn
         path = self.write_problem(in_tmp, {
             "dimension": 1,
             "lambda": 0.5,
             "map": {"kind": "affine", "A": [[0.5]], "b": [1e308]},
-            "x0": [0.0],
+            "x0": [1.5e308],
         })
         proc = run_cli(command, "--problem", path, "--out", "out")
         assert proc.returncode == 2
-        assert proc.stderr == "error: trace row 4 has a non-finite value\n"
+        assert proc.stderr == "error: trace row 2 has a non-finite value\n"
+
+    @pytest.mark.parametrize("rule", ["apriori", "aposteriori"])
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_overflowing_limit_is_usage_error(self, in_tmp, command, rule):
+        # t* = 1e300 / 1e-10 overflows: a search for the a-priori step count
+        # would never end, so the CLI runs under a timeout, and a-posteriori
+        # must not print an infinite t_star
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.9999999999,
+            "map": {"kind": "constant", "c": [1e300]},
+            "x0": [0.0],
+            "rule": rule,
+        })
+        proc = run_cli(command, "--problem", path, "--out", "out", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: t* = d / (1 - lambda) overflows at d = 1.000000e+300, "
+                               "lambda = 0.9999999999\n")
+        assert proc.stdout == ""
+        assert not (in_tmp / "out").exists()
 
     @pytest.mark.parametrize("command", [["solve"], ["certify"], ["omega", "--x", "0,0", "--t", "1"],
                                          ["certify", "--verify", "trace.csv"]],

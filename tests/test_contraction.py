@@ -107,13 +107,33 @@ class TestScalarMap:
         assert math.copysign(1.0, spec._scalar_map()(-0.0)) == 1.0
 
 
+class TestKeplerBatchProof:
+    def test_array_sin_has_the_bits_of_element_sin(self):
+        # The engine proves the math.sin steps of a Kepler run by one np.sin
+        # over the whole trace (_apply_batch), which vouches for _apply's bits
+        # only if numpy gives an element the same sin bits alone and inside
+        # a contiguous array, whichever loop it dispatches each to.
+        rng = np.random.default_rng(20140317)
+        xs = np.concatenate([
+            rng.uniform(-10.0, 10.0, 60_000),
+            rng.uniform(-1e6, 1e6, 20_000),
+            rng.choice([-1.0, 1.0], 20_000) * np.ldexp(rng.uniform(0.5, 1.0, 20_000),
+                                                       rng.integers(-1074, 1024, 20_000)),
+        ])
+        whole = np.sin(xs)
+        alone = np.array([np.sin(x) for x in xs.tolist()])
+        one_element = np.concatenate([np.sin(xs[k:k + 1]) for k in range(xs.size)])
+        assert whole.tobytes() == alone.tobytes()
+        assert whole.tobytes() == one_element.tobytes()
+
+
 def _edge_vectors(rng, m, count):
     """Points of m coordinates drawn from EDGE_INPUTS and ordinary values."""
     pool = np.array(EDGE_INPUTS + [1.25, -7.5, 1e-3])
     return [rng.choice(pool, m) for _ in range(count)]
 
 
-def _apply_into_specs(m, rng):
+def _stepper_specs(m, rng):
     """Specs of every family at width m, with signed-zero, subnormal and
     overflowing coefficients."""
     coefficients = np.array(SIGNED_COEFFICIENTS + [0.5, -0.25, 1.5])
@@ -128,19 +148,21 @@ def _apply_into_specs(m, rng):
     return specs
 
 
-class TestApplyInto:
+class TestStepper:
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 300])
     def test_same_bits_as_apply(self, m):
         # The engine's array loop writes f(x^n) into row n+1 of its buffer,
-        # x^n being row n: the bits must be those of _apply, the sign of a
-        # zero, an overflow to inf and a NaN included, whatever the row held.
+        # x^n being row n, with one step bound per run: the bits must be
+        # those of _apply, the sign of a zero, an overflow to inf and a NaN
+        # included, whatever the row held.
         rng = np.random.default_rng(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            for spec in _apply_into_specs(m, rng):
+            for spec in _stepper_specs(m, rng):
+                step = spec._stepper()
                 for x in _edge_vectors(rng, m, 3 if m > 50 else 20):
                     rows = np.full((2, m), np.nan)
                     rows[0] = x
-                    spec._apply_into(rows[0], rows[1])
+                    step(rows[0], rows[1])
                     assert rows[1].tobytes() == np.asarray(spec._apply(x)).tobytes(), (spec, x)
                     assert rows[0].tobytes() == x.tobytes()
 
@@ -148,7 +170,7 @@ class TestApplyInto:
         # np.dot at 1x1 would give -0 where the matmul's sum gives +0
         spec = Affine(a=[[-0.5]], b=[-0.0], lam=0.5)
         out = np.empty(1)
-        spec._apply_into(np.array([5e-324]), out)
+        spec._stepper()(np.array([5e-324]), out)
         assert out.tobytes() == np.array([0.0]).tobytes()
 
 

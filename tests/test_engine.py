@@ -1,6 +1,16 @@
+import itertools
+import math
+import os
+import re
+import subprocess
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cone_fixpoint
 from cone_fixpoint import (
     APosteriori,
     APriori,
@@ -101,6 +111,29 @@ class TestAPrioriIterations:
         assert trace.n_steps == a_priori_iterations(d, lam, eps) == 78
         assert verify_certificate(trace).stop_bound == trace.final_bound() <= eps
 
+    def test_infinite_limit_refused(self):
+        # t* = 1e300 / 1e-10 overflows, and no step count brings an infinite
+        # bound below eps: a search for one would never end, so both calls
+        # run in a fresh interpreter under a timeout
+        src = str(Path(cone_fixpoint.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "from cone_fixpoint import (APriori, Constant, InvalidInputError,\n"
+            "                           a_priori_iterations, run)\n"
+            "for call in (lambda: a_priori_iterations(1e300, 1 - 1e-10, 1e-8),\n"
+            "             lambda: run(Constant([1e300], 1 - 1e-10), [0.0], APriori(1e-8))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InvalidInputError as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.stdout == 2 * f"{INFINITE_LIMIT}\n", proc.stderr
+
+
+INFINITE_LIMIT = "t* = d / (1 - lambda) overflows at d = 1.000000e+300, lambda = 0.9999999999"
+
 
 class TestRun:
     def test_fixed_count_trace(self):
@@ -126,6 +159,14 @@ class TestRun:
         # x0 = 2 is FIXED_START's exact fixed point, where d = 0
         with pytest.raises(InvalidInputError, match="^unknown stopping rule 'bogus'$"):
             run(builtin("FIXED_START").spec, x0, "bogus")
+
+    @pytest.mark.parametrize("rule", [APosteriori(1e-8), FixedCount(3), FixedCount(0)],
+                             ids=["APosteriori", "FixedCount-3", "FixedCount-0"])
+    def test_infinite_limit_refused_by_every_rule(self, rule):
+        # the map is constant, so a-posteriori stops at step 2 with a finite
+        # trace, but its bound t* - t^N is infinite
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(INFINITE_LIMIT)}$"):
+            run(Constant([1e300], 1 - 1e-10), [0.0], rule)
 
     def test_apriori_stops_at_bound(self):
         trace = run(AFFINE, [0.0], APriori(0.25))
@@ -379,13 +420,15 @@ STEPPING_SCALAR_PROBLEMS = ["kepler", "kepler-negative-e", "constant", "affine-s
 
 
 def _assert_same_outcome(spec, x0, rule):
-    """The trace of :func:`_assert_same_as_reference`, or, where an iterate
-    or t^n overflows, an :class:`InvalidInputError` from the engine; the
-    reference loop raises only from a step norm."""
+    """The trace of :func:`_assert_same_as_reference`, or, where an iterate,
+    t^n or the limit t* = d / (1 - lam) overflows, an
+    :class:`InvalidInputError` from the engine; the reference loop raises
+    only from a step norm."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, ts, _, _ = _reference_run(spec, x0, rule)
-        finite = np.isfinite(xs).all() and np.isfinite(ts).all()
+            xs, ts, d, _ = _reference_run(spec, x0, rule)
+        finite = (np.isfinite(xs).all() and np.isfinite(ts).all()
+                  and np.isfinite(d / (1.0 - spec.lam)))
     except InvalidInputError:
         finite = False
     if finite:
@@ -545,3 +588,78 @@ class TestSameBitsAsListLoop:
         assert trace.xs.shape == (101, 7) and trace.ts.shape == (101,)
         assert not trace.xs.flags.writeable and not trace.ts.flags.writeable
         assert trace.xs.flags.c_contiguous
+
+
+@dataclass(frozen=True)
+class _UlpOffKepler(KeplerScalar):
+    """A Kepler map whose fast float map is one ulp above the exact one at
+    step ``off_at`` of a run, and exact elsewhere; ``calls`` holds each
+    run's step counter."""
+
+    off_at: int = 1
+    calls: list = field(default_factory=list, compare=False)
+
+    def _fast_scalar_map(self):
+        exact, count = self._scalar_map(), itertools.count(1)
+        self.calls.append(count)
+
+        def fast(x):
+            y = exact(x)
+            return math.nextafter(y, math.inf) if next(count) == self.off_at else y
+
+        return fast
+
+
+@dataclass(frozen=True)
+class _NegativeZeroKepler(KeplerScalar):
+    """A Kepler map whose fast float map returns -0 where the exact map
+    gives +0: equal as values, different in the trace's bits."""
+
+    def _fast_scalar_map(self):
+        exact = self._scalar_map()
+        return lambda x: -0.0 if exact(x) == 0.0 else exact(x)
+
+
+class TestProvenFastMap:
+    """The float loop steps a Kepler map with math.sin and proves its steps
+    afterwards against np.sin; from the first unproven step it runs again
+    with the exact map.  A fast map made wrong on purpose must leave the
+    trace, the step count and the stop reason of the exact loop."""
+
+    @staticmethod
+    def _assert_steps_taken_then_proven(spec, x0, rule):
+        _assert_same_as_reference(spec, x0, rule)
+        # the run did step with the fast map, up to the wrong step at least
+        n_steps = _reference_run(spec, x0, rule)[0].shape[0] - 1
+        assert next(spec.calls[-1]) - 1 >= min(spec.off_at, n_steps)
+
+    @pytest.mark.parametrize("off_at", [1, 2, 7, 8, 20])
+    @pytest.mark.parametrize("rule", RULES + [FixedCount(1100)], ids=_rule_id)
+    def test_one_ulp_off(self, rule, off_at):
+        for e, mean_anomaly, x0 in [(0.9, 1.0, [0.0]), (-0.9, -2.5, [3.0])]:
+            spec = _UlpOffKepler(e=e, mean_anomaly=mean_anomaly, lam=0.95, off_at=off_at)
+            self._assert_steps_taken_then_proven(spec, x0, rule)
+
+    @pytest.mark.parametrize("n", [2, 9, 25])
+    def test_one_ulp_off_with_eps_on_and_next_to_a_step(self, n):
+        # the wrong step comes before, at or after the step that stops
+        spec, x0 = SCALAR_PROBLEMS["kepler"]
+        values = _stop_values(spec, x0, 25)
+        for off_at in (n - 1, n, n + 1):
+            wrong = _UlpOffKepler(e=spec.e, mean_anomaly=spec.mean_anomaly, lam=spec.lam,
+                                  off_at=off_at)
+            for eps in _eps_at_and_around(values[n - 1]):
+                for max_iterations in (200, n):
+                    self._assert_steps_taken_then_proven(
+                        wrong, x0, APosteriori(eps, max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("rule", [FixedCount(10), APosteriori(5e-324, max_iterations=10),
+                                      FixedCount(10, max_iterations=4)], ids=_rule_id)
+    def test_negative_zero_for_positive_zero(self, rule):
+        # x halves from 8 * 2^-1074 and reaches +0 at step 4; a-posteriori
+        # stops at step 5, the first step of length 0
+        spec = _NegativeZeroKepler(e=0.5, mean_anomaly=0.0, lam=0.9)
+        x0 = [4e-323]
+        xs = _reference_run(spec, x0, rule)[0]
+        assert xs[4].tobytes() == np.array([0.0]).tobytes()
+        _assert_same_as_reference(spec, x0, rule)
