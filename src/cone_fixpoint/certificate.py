@@ -40,20 +40,18 @@ from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessErr
 
 DEFAULT_WITNESS_SAMPLES = 32
 
-# The bounded check fills its (witnesses, points) residual matrix in blocks
-# of at most this many elements (at least one witness per block); from
-# PAIRWISE_SUM_MIN_COLUMNS columns on, a block is one witness.
+# The bounded check computes the residuals of the pairs it keeps, and fills
+# its (witnesses, points) residual matrix, in blocks of at most this many
+# elements (at least one witness's row per block); from
+# PAIRWISE_SUM_MIN_COLUMNS columns on, the matrix is filled one witness at a
+# time.
 BLOCK_ELEMENTS = 1 << 15
 
-# The bounded check decides a trace by blocks of ROW_BLOCK consecutive rows
-# from PAIRWISE_SUM_MIN_COLUMNS columns or ROW_FILTER_MIN_ROWS rows on; a
-# shorter narrow trace, where the filter's fixed cost outweighs what it
-# saves, is decided from the whole residual matrix.  On wide_affine's seed-1
-# problems, blocks of 16, 32 and 64 rows left 160, 240 and 3824 of 124080
-# pairs to compute, and the check took about 1.9, 0.6 and 0.8 ms per operation
-# (a 2-vCPU machine, one BLAS thread).
+# The bounded check decides every trace by blocks of ROW_BLOCK consecutive
+# rows.  On wide_affine's seed-1 problems, blocks of 16, 32 and 64 rows left
+# 160, 240 and 3824 of 124080 pairs to compute, and the check took about
+# 1.9, 0.6 and 0.8 ms per operation (a 2-vCPU machine, one BLAS thread).
 ROW_BLOCK = 32
-ROW_FILTER_MIN_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -306,10 +304,11 @@ def _bounded_residuals(wx, wt, xs, ts) -> np.ndarray:
 def _pair_residuals(wx, wt, xs, ts, i, n) -> np.ndarray:
     """The entries (i[k], n[k]) of :func:`_bounded_residuals`, such as the
     pairs the row-block filter keeps, bit for bit at every width: the same
-    operations on the gathered rows, N+1 pairs at a time (:func:`row_norms`
-    gives each row the same bits however the rows are laid out)."""
+    operations on the gathered rows, max(N+1, BLOCK_ELEMENTS // m) pairs at a
+    time (:func:`row_norms` gives each row the same bits however the rows
+    are laid out)."""
     out = np.empty(i.size)
-    step = xs.shape[0]
+    step = max(xs.shape[0], BLOCK_ELEMENTS // xs.shape[1])
     for a in range(0, i.size, step):
         wi, xn = i[a : a + step], n[a : a + step]
         out[a : a + step] = (wt[wi] - ts[xn]) - row_norms(wx[wi] - xs[xn])
@@ -378,15 +377,15 @@ def _pairs_in_undecided_blocks(wx, wt, xs, ts, steps) -> np.ndarray:
     return (w[:, None] * n_points + rows)[rows < n_points]
 
 
-def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
+def _summary_of_pairs(wx, wt, xs, ts, resid, pairs) -> BoundedSummary:
     """:func:`_summary_of_rows` of the whole residual matrix from the exact
     residuals ``resid`` of the pairs with flat indices ``pairs`` (w (N+1) + n,
-    ascending; all pairs when None), which must hold every NaN and every
-    pair that may be the lowest."""
+    ascending), which must hold every NaN and every pair that may be the
+    lowest."""
     if not wt.size:
         return BoundedSummary(0, None, None, None)
     k = int(np.argmin(resid))  # the first NaN, else the first lowest
-    w, n = divmod(k if pairs is None else int(pairs[k]), ts.size)
+    w, n = divmod(int(pairs[k]), ts.size)
     low = float(resid[k])
     if low == 0.0:
         # np.min's choice between 0.0 and -0.0 depends on its order: take it
@@ -397,32 +396,20 @@ def _summary_of_pairs(wx, wt, xs, ts, resid, pairs=None) -> BoundedSummary:
 
 def _bounded_check(wx, wt, xs, ts, steps, tol):
     """The bounded check's first failure, its summary and its
-    ``witness_residuals``, given the step norms ``steps`` of the trace.
-    Only the pairs with exact residuals depend on the shape of the trace:
-    from PAIRWISE_SUM_MIN_COLUMNS columns or ROW_FILTER_MIN_ROWS rows on,
-    the pairs of the blocks the row-block filter keeps, and the matrix is
-    filled on first read; on a shorter narrow trace, every pair, the whole
-    matrix being cheap."""
-    n_points, m = xs.shape
-    if m >= PAIRWISE_SUM_MIN_COLUMNS or n_points >= ROW_FILTER_MIN_ROWS:
-        pairs = _pairs_in_undecided_blocks(wx, wt, xs, ts, steps)
-    else:
-        pairs = None
-    if pairs is None:
-        residuals = _bounded_residuals(wx, wt, xs, ts)
-        resid, witness_residuals = residuals.ravel(), tuple(residuals)
-    else:
-        resid = _pair_residuals(wx, wt, xs, ts, *np.divmod(pairs, n_points))
-
-        def witness_residuals():
-            return tuple(_bounded_residuals(wx, wt, xs, ts))
+    ``witness_residuals``, given the step norms ``steps`` of the trace: the
+    exact residuals of the pairs in the blocks the row-block filter keeps
+    decide the check, and the whole matrix is filled on first read."""
+    n_points = ts.size
+    pairs = _pairs_in_undecided_blocks(wx, wt, xs, ts, steps)
+    resid = _pair_residuals(wx, wt, xs, ts, *np.divmod(pairs, n_points))
     low = np.flatnonzero(~(resid >= 0.0))  # a margin is >= 0, so a residual >= 0 passes
-    i, n = np.divmod(low if pairs is None else pairs[low], n_points)
+    i, n = np.divmod(pairs[low], n_points)
     # the margin lives on the scale of the gap w.t - t^n
     k = _first_excess(-resid[low], tol.margin(wt[i] - ts[n]))
     failure = None if k is None else (f"bounded check failed for witness {i[k]} at step {n[k]} "
                                       f"(residual {resid[low[k]]:.6e})")
-    return failure, _summary_of_pairs(wx, wt, xs, ts, resid, pairs), witness_residuals
+    return (failure, _summary_of_pairs(wx, wt, xs, ts, resid, pairs),
+            lambda: tuple(_bounded_residuals(wx, wt, xs, ts)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -450,9 +437,7 @@ def verify_certificate(
     in blocks of ROW_BLOCK consecutive points that a rigorous filter cannot
     decide or that may hold its minimum; the filter bounds how far a block's
     points lie from its last by the step norms of the monotone check.
-    ``witness_residuals`` are then filled on first read.  On traces of
-    fewer than PAIRWISE_SUM_MIN_COLUMNS coordinates and ROW_FILTER_MIN_ROWS
-    points the whole matrix is computed.
+    ``witness_residuals`` are then filled on first read, on every trace.
     """
     if tol is None:
         tol = TolerancePolicy.default()

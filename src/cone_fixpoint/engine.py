@@ -203,7 +203,8 @@ def a_priori_iterations(d: float, lam: float, eps: float) -> int:
     if d == 0.0 or d / (1.0 - lam) <= eps:
         return 0
 
-    n = max(0, math.ceil(math.log(eps * (1.0 - lam) / d) / math.log(lam)))
+    # a sum of logs, since the quotient eps (1 - lam) / d can underflow to 0
+    n = max(0, math.ceil((math.log(eps) + math.log(1.0 - lam) - math.log(d)) / math.log(lam)))
     # log arithmetic can be off by one either way; settle it exactly.
     while n > 0 and tail_bound(d, lam, n - 1) <= eps:
         n -= 1

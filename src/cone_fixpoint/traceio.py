@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from typing import NoReturn
 
 import numpy as np
@@ -42,18 +41,20 @@ RUN_PARAM_KEYS = ("rule", "eps", "max_iterations", "seed")
 
 
 def write_text_atomic(path: str, text: str):
-    """Write via a temp file in the same directory, then rename over the
-    target.  An :class:`OSError` is raised again naming ``path``, not the
-    temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    """Write via a new temp file in the same directory, then rename over the
+    target.  The temp file is created with mode 0o666 less the umask, as
+    ``open(path, "w")`` creates a file, so the result is as readable as any
+    other file the user writes.  An :class:`OSError` is raised again naming
+    ``path``, not the temp file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fd = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
+        if fd is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc

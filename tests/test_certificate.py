@@ -34,8 +34,8 @@ from cone_fixpoint import (
     verify_certificate,
 )
 from cone_fixpoint import certificate
-from cone_fixpoint.certificate import ROW_BLOCK, ROW_FILTER_MIN_ROWS
-from cone_fixpoint.cone import PAIRWISE_SUM_MIN_COLUMNS, norm_each_row, row_norms
+from cone_fixpoint.certificate import BLOCK_ELEMENTS, ROW_BLOCK
+from cone_fixpoint.cone import norm_each_row, row_norms
 from test_acceptance import random_affine_instances
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
@@ -752,9 +752,8 @@ def _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts):
 class TestBoundedFilter:
     """The bounded check computes exact residuals only at the pairs of the
     blocks of ROW_BLOCK rows a filter cannot decide or that may hold the
-    minimum, from PAIRWISE_SUM_MIN_COLUMNS columns or ROW_FILTER_MIN_ROWS
-    rows on.  Its verdict, message and summary must be those of the whole
-    matrix."""
+    minimum, on every trace.  Its verdict, message and summary must be those
+    of the whole matrix."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(
@@ -780,12 +779,11 @@ class TestBoundedFilter:
         if far_row is not None:
             xs[rng.integers(n_points)] = far_row
         _assert_filter_matches_full_matrix(wx, wt, xs, ts, STRICT if strict else TolerancePolicy())
-        if m >= PAIRWISE_SUM_MIN_COLUMNS:
-            _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts)
+        _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts)
 
     @given(
         m=st.sampled_from([1, 2, 7]),
-        n_points=st.integers(ROW_FILTER_MIN_ROWS, ROW_FILTER_MIN_ROWS + 3 * ROW_BLOCK + 1),
+        n_points=st.integers(512, 512 + 3 * ROW_BLOCK + 1),
         n_witnesses=st.integers(1, 6),
         offset=st.sampled_from([0.0, 1e3, 1e6, -1e8]),
         ulps=st.integers(-4, 4),
@@ -816,15 +814,26 @@ class TestBoundedFilter:
         assert skipped.mean() > 0.99
         _assert_same_certificate(trace, witnesses)
 
-    @pytest.mark.parametrize("n_points", [ROW_FILTER_MIN_ROWS - 1, ROW_FILTER_MIN_ROWS])
-    def test_short_narrow_traces_fill_the_whole_matrix(self, n_points, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("n_points", [1, 2, 31, 32, 33, 511, 512])
+    @pytest.mark.parametrize("m", [1, 2, 7, 8])
+    def test_filter_runs_once_per_verify(self, m, n_points, monkeypatch):
+        # every trace, however short or narrow, is decided by the filter, and
+        # the residual matrix is filled only when it is read
+        calls, fills = [], []
         pairs_in_blocks = certificate._pairs_in_undecided_blocks
         monkeypatch.setattr(certificate, "_pairs_in_undecided_blocks",
                             lambda *args: calls.append(args) or pairs_in_blocks(*args))
-        spec, x0 = _affine(2, seed=900, lam=0.999)
-        _assert_same_certificate(run(spec, x0, FixedCount(n_points - 1)))
-        assert len(calls) == (n_points >= ROW_FILTER_MIN_ROWS)
+        fill = certificate._bounded_residuals
+        monkeypatch.setattr(certificate, "_bounded_residuals",
+                            lambda *args: fills.append(args) or fill(*args))
+        spec, x0 = _affine(m, seed=900 + m, lam=0.999)
+        trace = run(spec, x0, FixedCount(n_points - 1))
+        assert trace.ts.size == n_points
+        cert = verify_certificate(trace)
+        assert (len(calls), len(fills)) == (1, 0)
+        assert len(cert.witness_residuals) == 33
+        assert (len(calls), len(fills)) == (1, 1)
+        _assert_same_certificate(trace)
 
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_tampered_rows_fail_in_late_blocks(self, m):
@@ -858,7 +867,7 @@ class TestBoundedFilter:
         # bounds the block.  The witness lies ahead of the walk: its
         # residual 120 - |131 - n| fails at rows 0-10, all in the first
         # block, and again from row 252 on, so H < 0.
-        n_points = ROW_FILTER_MIN_ROWS
+        n_points = 512
         xs = np.zeros((n_points, m))
         xs[:, 0] = np.arange(n_points)
         ts = np.zeros(n_points)
@@ -879,7 +888,7 @@ class TestBoundedFilter:
         # inf in the step norms of the block of rows 288-319, which then
         # holds the only failures.  The blocks with a NaN or inf are kept.
         rng = np.random.default_rng(m)
-        n_points = ROW_FILTER_MIN_ROWS + 100
+        n_points = 612
         xs = np.cumsum(rng.standard_normal((n_points, m)) * 1e-3, axis=0)
         ts = np.linspace(0.0, 1.0, n_points)
         xs[300] = -1.5e308
@@ -892,10 +901,9 @@ class TestBoundedFilter:
             wx, wt = wx[1:], wt[1:]
         # a NaN's sign bit depends on the operation that made it (np.min
         # makes its own): the summary is compared with that of the whole
-        # matrix, as the check takes it on a short trace, and as a
-        # certificate takes it from its rows
+        # matrix's rows, as a certificate takes it from them
         residuals = certificate._bounded_residuals(wx, wt, xs, ts)
-        whole = certificate._summary_of_pairs(wx, wt, xs, ts, residuals.ravel())
+        whole = certificate._summary_of_rows(tuple(residuals))
         for tol in (TolerancePolicy(), STRICT):
             failure, summary, rows = certificate._bounded_check(wx, wt, xs, ts, _step_norms(xs),
                                                                 tol)
@@ -912,20 +920,22 @@ class TestBoundedFilter:
     @pytest.mark.parametrize("m", WIDTHS)
     def test_pair_residuals_are_the_matrix_entries(self, m):
         rng = np.random.default_rng(40 + m)
-        n_points = 70
-        xs = rng.standard_normal((n_points, m)) * np.exp(rng.uniform(-20, 20, (n_points, m)))
-        xs[3] = 0.0
-        xs[4] = -0.0
-        xs[5] = 5e-324
-        ts = np.abs(rng.standard_normal(n_points))
-        wx = np.vstack([rng.standard_normal((5, m)), xs[3], xs[5], -xs[7]])
-        wt = np.concatenate([rng.uniform(0.0, 10.0, 5), [0.0, -0.0, ts[7]]])
-        matrix = certificate._bounded_residuals(wx, wt, xs, ts)
-        for size in (1, 57, 3 * n_points + 11, wt.size * n_points):
-            flat = np.sort(rng.choice(wt.size * n_points, size, replace=False))
-            i, n = np.divmod(flat, n_points)
-            got = certificate._pair_residuals(wx, wt, xs, ts, i, n)
-            assert got.tobytes() == matrix[i, n].tobytes()
+        # at m = 1 also more pairs than BLOCK_ELEMENTS, which are computed in
+        # more than one chunk
+        for n_points in (70, BLOCK_ELEMENTS // 8 + 100) if m == 1 else (70,):
+            xs = rng.standard_normal((n_points, m)) * np.exp(rng.uniform(-20, 20, (n_points, m)))
+            xs[3] = 0.0
+            xs[4] = -0.0
+            xs[5] = 5e-324
+            ts = np.abs(rng.standard_normal(n_points))
+            wx = np.vstack([rng.standard_normal((5, m)), xs[3], xs[5], -xs[7]])
+            wt = np.concatenate([rng.uniform(0.0, 10.0, 5), [0.0, -0.0, ts[7]]])
+            matrix = certificate._bounded_residuals(wx, wt, xs, ts)
+            for size in (1, 57, 3 * n_points + 11, wt.size * n_points):
+                flat = np.sort(rng.choice(wt.size * n_points, size, replace=False))
+                i, n = np.divmod(flat, n_points)
+                got = certificate._pair_residuals(wx, wt, xs, ts, i, n)
+                assert got.tobytes() == matrix[i, n].tobytes()
 
     @pytest.mark.parametrize("m", [8, 20])
     def test_decides_well_separated_pairs(self, m):
@@ -962,14 +972,13 @@ class TestBoundedFilter:
             wt = np.array([1e4, -0.0])
             got = _assert_filter_matches_full_matrix(wx, wt, xs_ab, ts_ab, TolerancePolicy())
             assert got[1].min_residual == 0.0 and got[1].argmin_witness == 1
-            if m < 8 and n_points >= ROW_FILTER_MIN_ROWS:
-                _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs_ab, ts_ab)
+            _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs_ab, ts_ab)
 
     @pytest.mark.parametrize("n_points", [9, 17, 100])
     def test_zero_minimum_takes_the_sign_of_np_min(self, n_points):
         self._assert_zero_minimum_takes_the_sign_of_np_min(8, n_points)
 
-    @pytest.mark.parametrize("n_points", [ROW_FILTER_MIN_ROWS, 1000])
+    @pytest.mark.parametrize("n_points", [512, 1000])
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_zero_minimum_on_long_narrow_traces(self, m, n_points):
         self._assert_zero_minimum_takes_the_sign_of_np_min(m, n_points)
@@ -1006,10 +1015,9 @@ class TestBoundedFilter:
         witnesses = certificate.default_witnesses(om, 8, seed=3)
         wx = np.array([w.x for w in witnesses])
         wt = np.array([w.t for w in witnesses])
-        if m >= 8:
-            _assert_skipped_pairs_above_anchor_minimum(wx, wt, trace.xs, trace.ts)
-            # a trace moved far from every witness fails for every witness
-            shifted = trace.xs + 100.0 * max(abs(w.t) for w in witnesses)
-            for tol in (TolerancePolicy(), STRICT):
-                failure, _ = _assert_filter_matches_full_matrix(wx, wt, shifted, trace.ts, tol)
-                assert failure.startswith("bounded check failed for witness 0 at step 0")
+        _assert_skipped_pairs_above_anchor_minimum(wx, wt, trace.xs, trace.ts)
+        # a trace moved far from every witness fails for every witness
+        shifted = trace.xs + 100.0 * max(abs(w.t) for w in witnesses)
+        for tol in (TolerancePolicy(), STRICT):
+            failure, _ = _assert_filter_matches_full_matrix(wx, wt, shifted, trace.ts, tol)
+            assert failure.startswith("bounded check failed for witness 0 at step 0")

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,35 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "t_star         2" in out
         assert "final_bound    0.25" in out
+
+
+    def test_eps_below_every_quotient(self, tmp_path):
+        # eps (1 - lam) / d underflows to 0: the step count is still found
+        proc = run_cli("solve", "--builtin", "KEPLER", "--eps", "5e-324",
+                       "--out", str(tmp_path / "trace.csv"), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "N              1075" in proc.stdout
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_written_files_take_the_umask(umask, in_tmp, capsys):
+    """``solve`` and ``certify`` write their files with the mode
+    ``open(path, "w")`` gives a new file, 0o666 less the umask, also over an
+    existing file, and leave no temp file behind."""
+    mode = 0o666 & ~umask
+    (in_tmp / "cert.json").write_text("")
+    os.chmod("cert.json", mode)
+    old = os.umask(umask)
+    try:
+        assert main(["solve", "--builtin", "AFFINE_1D", "--out", "trace.csv"]) == 0
+        assert main(["certify", "--builtin", "AFFINE_1D", "--verify", "trace.csv",
+                     "--out", "cert.json"]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert sorted(os.listdir()) == ["cert.json", "trace.csv"]
+    for name in ("trace.csv", "cert.json"):
+        assert stat.S_IMODE(os.stat(name).st_mode) == mode, name
 
 
 class TestCertify:
@@ -643,41 +673,43 @@ def test_certificate_matches_golden_file(name, in_tmp, monkeypatch, capsys):
 
 
 def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, capsys):
-    """From PAIRWISE_SUM_MIN_COLUMNS columns on, ``certify`` takes the bounded
-    check's summary from the filter and never fills the (witnesses, points)
-    residual matrix; ``--full`` fills it once, and its rows give the same
-    summary as the whole-matrix minimum."""
+    """On a wide trace and on short traces at m = 1 and 2 alike, ``certify``
+    takes the bounded check's summary from the filter and never fills the
+    (witnesses, points) residual matrix; ``--full`` fills it once, and its
+    rows give the same summary as the whole-matrix minimum."""
     spec, x0 = _random_affine(12, seed=8)
     problem = {"dimension": 12, "lambda": spec.lam, "map": map_to_dict(spec),
                "x0": x0.tolist(), "eps": 1e-9}
     (in_tmp / "p.json").write_text(json.dumps(problem))
-    assert main(["solve", "--problem", "p.json", "--out", "trace.csv"]) == 0
     fills = []
     fill = certificate._bounded_residuals
     monkeypatch.setattr(certificate, "_bounded_residuals",
                         lambda *args: fills.append(args) or fill(*args))
-    docs = {}
-    for name, extra in (("seeded", ["--seed", "5"]), ("verify", ["--verify", "trace.csv"]),
-                        ("full", ["--verify", "trace.csv", "--full"])):
-        argv = ["certify", "--problem", "p.json", *extra, "--out", f"{name}.json"]
-        assert main(argv) == 0
-        docs[name] = json.loads((in_tmp / f"{name}.json").read_text())
-        assert len(fills) == (name == "full")
+    for source in (["--problem", "p.json"], ["--builtin", "AFFINE_1D"],
+                   ["--builtin", "KEPLER"], ["--builtin", "ROTATION_2D"]):
+        assert main(["solve", *source, "--out", "trace.csv"]) == 0
+        fills.clear()
+        docs = {}
+        for name, extra in (("seeded", ["--seed", "5"]), ("verify", ["--verify", "trace.csv"]),
+                            ("full", ["--verify", "trace.csv", "--full"])):
+            argv = ["certify", *source, *extra, "--out", f"{name}.json"]
+            assert main(argv) == 0
+            docs[name] = json.loads((in_tmp / f"{name}.json").read_text())
+            assert len(fills) == (name == "full"), source
+        rows = docs["full"]["full_residuals"]["bounded"]
+        mins = [min(r) for r in rows]
+        w = mins.index(min(mins))
+        assert docs["full"]["checks"]["bounded"] == {
+            "count": 33 * len(rows[0]), "min_residual": mins[w], "argmin_witness": w,
+            "argmin_step": rows[w].index(mins[w]),
+        }
+        assert docs["verify"]["checks"]["bounded"] == docs["full"]["checks"]["bounded"]
     capsys.readouterr()
-    rows = docs["full"]["full_residuals"]["bounded"]
-    mins = [min(r) for r in rows]
-    w = mins.index(min(mins))
-    assert docs["full"]["checks"]["bounded"] == {
-        "count": 33 * len(rows[0]), "min_residual": mins[w], "argmin_witness": w,
-        "argmin_step": rows[w].index(mins[w]),
-    }
-    assert docs["verify"]["checks"]["bounded"] == docs["full"]["checks"]["bounded"]
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
 def test_certify_full_rows_on_long_narrow_traces(m, in_tmp, monkeypatch, capsys):
-    """Below PAIRWISE_SUM_MIN_COLUMNS columns, a trace of at least
-    ROW_FILTER_MIN_ROWS rows is decided by row blocks: ``certify`` fills the
+    """A long narrow trace is decided by row blocks: ``certify`` fills the
     residual matrix only for ``--full``, its rows are the whole matrix bit
     for bit, and the summary is the same with and without it."""
     rng = np.random.default_rng(30 + m)
@@ -690,7 +722,7 @@ def test_certify_full_rows_on_long_narrow_traces(m, in_tmp, monkeypatch, capsys)
     (in_tmp / "p.json").write_text(json.dumps(problem))
     assert main(["solve", "--problem", "p.json", "--out", "trace.csv"]) == 0
     trace = read_trace_csv("trace.csv", spec)
-    assert trace.ts.size >= certificate.ROW_FILTER_MIN_ROWS
+    assert trace.ts.size >= 512
     fills = []
     fill = certificate._bounded_residuals
     monkeypatch.setattr(certificate, "_bounded_residuals",

@@ -102,6 +102,28 @@ class TestAPrioriIterations:
                 if n > 0:
                     assert lam ** (n - 1) * 2.5 / (1 - lam) > eps
 
+    @staticmethod
+    def _smallest(d, lam, eps):
+        n = 0
+        while lam**n * (d / (1.0 - lam)) > eps:
+            n += 1
+        return n
+
+    @pytest.mark.parametrize(("d", "lam", "eps", "n"), [
+        (1.0, 0.5, 5e-324, 1075), (1e300, 0.9, 1e-300, 7073), (1.0, 0.999, 5e-324, 744761),
+    ])
+    def test_underflowing_quotient(self, d, lam, eps, n):
+        # eps (1 - lam) / d underflows to 0, which has no logarithm
+        assert a_priori_iterations(d, lam, eps) == self._smallest(d, lam, eps) == n
+
+    def test_agrees_with_a_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            d = 10.0 ** rng.uniform(-300, 300)
+            lam = rng.uniform(0.05, 0.9)
+            eps = 10.0 ** rng.uniform(-323, 0)
+            assert a_priori_iterations(d, lam, eps) == self._smallest(d, lam, eps), (d, lam, eps)
+
     def test_run_and_certificate_publish_one_bound(self):
         # here (lam^77 d) / (1 - lam) rounds to eps and lam^77 (d / (1 - lam))
         # one ulp above it: the stop rule, the trace and the certificate must
