@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import NON_FINITE_NORM, AugmentedPoint, as_vector, norm
+from .cone import NON_FINITE_NORM, AugmentedPoint, as_vector, norm, norm_each_row
 from .contraction import ContractionSpec, evaluate
 from .errors import DimensionMismatchError, InvalidInputError
 
@@ -31,6 +32,16 @@ CONDITIONING_GAP = 1e-6
 
 # Rows of an APosteriori run's first trace buffer; it doubles when full.
 INITIAL_ROWS = 64
+
+# An APosteriori run takes its steps in blocks of STOP_BLOCK and tests each
+# block's steps with one batched norm call; a stop discards at most
+# STOP_BLOCK - 1 computed steps.  Summed over the benchmark's seed-1
+# a-posteriori problems (engine.run, five passes, a 2-vCPU machine, one BLAS
+# thread), blocks of 8, 16 and 32 took 1.07-1.46, 0.86-1.06 and 0.43-0.95
+# times as long as a test of every step on cli_roundtrip's 12 (m = 1-4);
+# on wide_affine's 10 (m = 100-300) all three spread as widely as the
+# machine, 0.6-1.7 times.
+STOP_BLOCK = 32
 
 
 class StopReason(enum.Enum):
@@ -46,11 +57,21 @@ def _check_positive(name: str, v: float):
         raise InvalidInputError(f"{name} must be finite and > 0, got {v}")
 
 
+def _check_integer(name: str, v):
+    """Refuse a step count that is not an integer (``operator.index``
+    accepts Python and numpy integers only)."""
+    try:
+        operator.index(v)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {v!r}") from None
+
+
 def _check_rule(rule):
     """Checks shared by the stopping rules: eps (where the rule has one) must
-    be finite and > 0, and the max_iterations guard must be >= 1."""
+    be finite and > 0, and the max_iterations guard an integer >= 1."""
     if hasattr(rule, "eps"):
         _check_positive("eps", rule.eps)
+    _check_integer("max_iterations", rule.max_iterations)
     if rule.max_iterations < 1:
         raise InvalidInputError("max_iterations must be >= 1")
 
@@ -83,6 +104,7 @@ class FixedCount:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
+        _check_integer("count", self.count)
         if self.count < 0:
             raise InvalidInputError("count must be >= 0")
         _check_rule(self)
@@ -213,70 +235,11 @@ def a_priori_iterations(d: float, lam: float, eps: float) -> int:
     return n
 
 
-# The a-posteriori stop test at a step v = x^{n+1} - x^n of m entries is
-# fl(sf N) <= eps, with N = norm(v) and sf the float stop_factor.  The
-# engine skips it when sq = fl(v.v) is finite and above the threshold below:
-# then the test would fail.  Write u = 2^-53, eta = 2^-1022 (the smallest
-# normal; it bounds an operation's underflow error also where subnormal
-# results are flushed to zero), E = eps / sf exactly, and take eps >= eta
-# (for smaller eps nothing is skipped) and m <= 2^40, so gamma_m =
-# m u / (1 - m u) <= 1.01 m u.  Suppose the test passes.
-#   * fl(sf N) <= eps gives sf N <= eps / (1 - u): the product either is
-#     normal, with relative error u, or is below eta <= eps.  So
-#     N <= E / (1 - u).
-#   * If the largest |v_i| is below eta, then ||v||^2 < m eta^2.  Otherwise
-#     norm's scaled entries y_i = fl(v_i / scale) include one of exactly 1,
-#     so fl(y.y) >= 1 in any summation order, the underflow of the quotients
-#     and of the squares is relative to that 1, and with the rounding of
-#     the quotients, the dot product (gamma_m, Higham, Accuracy and
-#     Stability, sec. 3.1, any order), the square root and the product by
-#     the scale, N^2 >= (1 - (1.01 m + 11) u) ||v||^2.
-#   * sq <= (1 + gamma_m) ||v||^2 + 2.02 m eta for any summation order.
-# Together sq <= (1 + (3 m + 16) u) E^2 + (2.02 m + 1) eta.  The threshold
-# is fl(fl(r r) K) + A with r = fl(eps / sf), K = 1 + (6 m + 32) u, twice
-# the relative term, and A = (8 m + 8) eta, both exact.  The doubled
-# relative term covers the rounding of r, of r r and of the threshold's own
-# product and sum.  A covers twice the absolute term plus the at most
-# 4.1 eta of E^2 K that is lost where E < 2^-510 and r r underflows.  An
-# overflowing threshold is inf and skips nothing.
-def _skip_threshold(eps: float, stop_factor: float, m: int) -> float:
-    """The bound above which fl(v.v) shows that the a-posteriori stop test
-    ``stop_factor * norm(v) <= eps`` fails (derivation above)."""
-    if eps < 2.0**-1022:
-        return math.inf
-    ratio = float(eps) / stop_factor
-    return ratio * ratio * (1.0 + (6 * m + 32) * 2.0**-53) + (8 * m + 8) * 2.0**-1022
-
-
 def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
     """``buffer`` copied into one of twice its rows (at most ``limit``)."""
     out = np.empty((min(2 * buffer.shape[0], limit),) + buffer.shape[1:])
     out[: buffer.shape[0]] = buffer
     return out
-
-
-def _stop_test(stop_factor: float, eps: float, m: int, on_floats: bool):
-    """The a-posteriori stop test ``stop_factor * norm(step) <= eps``.  The
-    norm of a float step (m = 1) is its absolute value, so there the exact
-    test costs no more than a filter.  On an array step one dot product
-    decides the test where it can, and the step norm only where it cannot (a
-    step near the stop, or a non-finite or overflowing one)."""
-    if on_floats:
-        def stops(diff: float) -> bool:
-            if not abs(diff) < math.inf:
-                raise InvalidInputError(NON_FINITE_NORM)
-            return stop_factor * abs(diff) <= eps
-
-        return stops
-    skip_above = _skip_threshold(eps, stop_factor, m)
-
-    def stops(diff: np.ndarray) -> bool:
-        # np.vdot, unlike np.dot, does not warn when the squares overflow
-        if skip_above < float(np.vdot(diff, diff)) < math.inf:
-            return False
-        return stop_factor * norm(diff) <= eps
-
-    return stops
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -289,35 +252,46 @@ def first_step(spec: ContractionSpec, x0: np.ndarray) -> float:
 
 
 def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, first: int, last: int,
-             lam: float, d: float, stops, reason: StopReason):
+             lam: float, d: float, stop_factor: float | None, eps: float | None,
+             reason: StopReason):
     """Steps ``first``..``last`` of the pair iteration, from row first - 1 of
     the buffers ``xs`` and ``ts``, which double (up to last + 1 rows) when
     full.  ``step`` takes x^n to x^{n+1}: on floats it returns it, on arrays
-    it writes it into row n+1, and x^n is a view of row n.  ``stops``, when
-    given, is the a-posteriori stop test, and a run it never stops ends
-    flagged MAX_ITERATIONS.  Returns the buffers, the last step taken and
-    the stop reason."""
-    rows = xs.shape[0]
+    it writes it into row n+1, and x^n is a view of row n.  Without a
+    ``stop_factor`` every step is taken, untested.  With one the steps go in
+    blocks of :data:`STOP_BLOCK`, and after each block one
+    :func:`norm_each_row` call, which gives :func:`norm`'s bits, takes the
+    a-posteriori test ``stop_factor * norm(x^n - x^{n-1}) <= eps`` on all of
+    its steps: the run ends at the first step that passes, or raises if
+    that step's norm is non-finite, and the steps computed past it are
+    dropped; a run no step stops ends flagged MAX_ITERATIONS.  Returns the
+    buffers, the last step kept and the stop reason."""
     x = float(xs[first - 1]) if on_floats else xs[first - 1]
-    t, n = float(ts[first - 1]), first - 1
-    for n in range(first, last + 1):
-        t = lam * t + d
-        if n == rows:
+    t = float(ts[first - 1])
+    start = first
+    while start <= last:
+        end = last if stop_factor is None else min(start + STOP_BLOCK - 1, last)
+        while end >= xs.shape[0]:
             xs, ts = _grown(xs, last + 1), _grown(ts, last + 1)
-            rows = xs.shape[0]
-        ts[n] = t
-        if on_floats:
-            xs[n] = x_next = step(x)
-        else:
-            x_next = xs[n]
-            step(x, x_next)
-        if stops is not None:
-            if stops(x_next - x):
-                break
-            if n == last:
-                reason = StopReason.MAX_ITERATIONS
-        x = x_next
-    return xs, ts, n, reason
+        for n in range(start, end + 1):
+            t = lam * t + d
+            ts[n] = t
+            if on_floats:
+                xs[n] = x = step(x)
+            else:
+                step(x, xs[n])
+                x = xs[n]
+        if stop_factor is not None:
+            steps = xs[start : end + 1] - xs[start - 1 : end]
+            step_norms = norm_each_row(steps.reshape(end + 1 - start, -1))
+            passed = ~(stop_factor * step_norms > eps)
+            if passed.any():
+                k = int(np.argmax(passed))
+                if np.isnan(step_norms[k]):
+                    raise InvalidInputError(NON_FINITE_NORM)
+                return xs, ts, start + k, reason
+        start = end + 1
+    return xs, ts, last, reason if stop_factor is None else StopReason.MAX_ITERATIONS
 
 
 def _first_unproven_step(spec: ContractionSpec, xs: np.ndarray) -> int:
@@ -338,27 +312,29 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     checked for finiteness as a whole by :class:`IterationTrace`.  The first
     step norm d is computed once and then frozen into the scalar recurrence;
     a d whose limit t* = d / (1 - lam) overflows is refused before any step.
-    The width only picks the map, bound once per run, and the stop test the
-    one stepping loop calls.  At m = 1 it iterates on Python floats through
+    The width only picks the map, bound once per run, that the one stepping
+    loop calls.  At m = 1 it iterates on Python floats through
     the family's scalar map, whose bits are those of the array map, or
     through a cheaper float map (``KeplerScalar``: ``math.sin`` for
-    ``np.sin``) whose steps one batched pass then compares bit for bit; from
-    the first step that differs the loop runs again on the scalar map, stop
-    decisions included.  Otherwise (m >= 2, or a spec without a scalar map)
-    it iterates on float64 arrays through ``spec._stepper()``, which writes
-    f(x^n) straight into row n+1 of the trace buffer with the bits of
+    ``np.sin``) whose kept steps one batched pass then compares bit for bit;
+    from the first step that differs the loop runs again on the scalar map,
+    stop decisions included.  Otherwise (m >= 2, or a spec without a scalar
+    map) it iterates on float64 arrays through ``spec._stepper()``, which
+    writes f(x^n) straight into row n+1 of the trace buffer with the bits of
     ``spec._apply``.  The rule only sets where the loop ends: when the step
     count N is known in advance (``APriori``, ``FixedCount``, or N = 0 at an
     exact fixed point) the (N+1)-row buffers are allocated once and no step
     norm is computed.
     ``APosteriori`` starts from smaller buffers that double when full and
-    tests every step: on floats exactly, with the step's absolute value, and
-    on arrays from one dot product per step where that settles the test, so
-    it stops exactly where a test on every step's norm would.  A run that
+    tests its steps in blocks of :data:`STOP_BLOCK`, one batched call per
+    block with :func:`norm`'s bits, on floats and arrays alike: it stops
+    exactly where a test on every step's norm would, and drops the at most
+    ``STOP_BLOCK - 1`` steps it computed past the stop.  A run that
     exhausts its ``max_iterations`` guard is returned truncated and flagged
     MAX_ITERATIONS rather than raising, so the partial trace is never lost.
     An overflowing map raises only the trace's non-finite-row error, or
-    under ``APosteriori`` the step norm's.
+    under ``APosteriori`` the step norm's, unless it overflows only at a
+    dropped step.
     """
     x0 = as_vector(x0)
     if x0.size != spec.dimension:
@@ -397,9 +373,9 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     on_floats = scalar_map is not None
     if steps is None:
         last, rows = rule.max_iterations, min(INITIAL_ROWS, rule.max_iterations + 1)
-        stops = _stop_test(lam / gap, rule.eps, x0.size, on_floats)
+        stop_factor, eps = lam / gap, rule.eps
     else:
-        last, rows, stops = steps, steps + 1, None
+        last, rows, stop_factor, eps = steps, steps + 1, None, None
     # The map writes each array row straight into the buffer.  Keeping the
     # outputs in a list, to stack them once at the end, made wide_affine's
     # m = 300 operations about 15 % slower.
@@ -414,12 +390,12 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
         fast_map, step = None, spec._stepper()
     ts = np.empty(rows)
     ts[0] = 0.0
-    xs, ts, n, stop = _iterate(step, on_floats, xs, ts, 1, last, lam, d, stops, reason)
+    xs, ts, n, stop = _iterate(step, on_floats, xs, ts, 1, last, lam, d, stop_factor, eps, reason)
     if fast_map is not None:
         unproven = _first_unproven_step(spec, xs[: n + 1])
         if unproven:
             xs, ts, n, stop = _iterate(scalar_map, True, xs, ts, unproven, last,
-                                       lam, d, stops, reason)
+                                       lam, d, stop_factor, eps, reason)
 
     return IterationTrace(
         spec=spec, x0=x0, d=d,

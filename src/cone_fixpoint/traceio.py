@@ -42,14 +42,16 @@ RUN_PARAM_KEYS = ("rule", "eps", "max_iterations", "seed")
 
 def write_text_atomic(path: str, text: str):
     """Write via a new temp file in the same directory, then rename over the
-    target.  The temp file is created with mode 0o666 less the umask, as
-    ``open(path, "w")`` creates a file, so the result is as readable as any
-    other file the user writes.  An :class:`OSError` is raised again naming
-    ``path``, not the temp file."""
+    target.  As ``open(path, "w")`` would leave it, the result keeps the
+    permission bits of a file it replaces, and a new file gets mode 0o666
+    less the umask.  An :class:`OSError` is raised again naming ``path``,
+    not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     fd = None
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with contextlib.suppress(FileNotFoundError):
+            os.fchmod(fd, os.stat(path).st_mode & 0o777)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -103,8 +103,8 @@ class TestSolve:
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
 def test_written_files_take_the_umask(umask, in_tmp, capsys):
     """``solve`` and ``certify`` write their files with the mode
-    ``open(path, "w")`` gives a new file, 0o666 less the umask, also over an
-    existing file, and leave no temp file behind."""
+    ``open(path, "w")`` gives a new file, 0o666 less the umask (also over an
+    existing file of that mode), and leave no temp file behind."""
     mode = 0o666 & ~umask
     (in_tmp / "cert.json").write_text("")
     os.chmod("cert.json", mode)
@@ -119,6 +119,29 @@ def test_written_files_take_the_umask(umask, in_tmp, capsys):
     assert sorted(os.listdir()) == ["cert.json", "trace.csv"]
     for name in ("trace.csv", "cert.json"):
         assert stat.S_IMODE(os.stat(name).st_mode) == mode, name
+
+
+@pytest.mark.parametrize("target_mode", [0o600, 0o640, None], ids=["0o600", "0o640", "new"])
+def test_replaced_files_keep_their_mode(target_mode, in_tmp, capsys):
+    """Over an existing file ``solve`` and ``certify`` keep its permission
+    bits, as ``open(path, "w")`` would, so a file made private stays
+    private; a new file gets 0o666 less the umask."""
+    names = ["cert.json", "trace.csv"]
+    if target_mode is not None:
+        for name in names:
+            (in_tmp / name).write_text("")
+            os.chmod(name, target_mode)
+    old = os.umask(0o022)
+    try:
+        assert main(["solve", "--builtin", "KEPLER", "--out", "trace.csv"]) == 0
+        assert main(["certify", "--builtin", "KEPLER", "--verify", "trace.csv",
+                     "--out", "cert.json"]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert sorted(os.listdir()) == names
+    for name in names:
+        assert stat.S_IMODE(os.stat(name).st_mode) == (target_mode or 0o644), name
 
 
 class TestCertify:

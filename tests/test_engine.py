@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from cone_fixpoint import (
     t_closed_form,
     verify_certificate,
 )
+from cone_fixpoint import engine
+from cone_fixpoint.engine import INITIAL_ROWS, STOP_BLOCK
 from test_acceptance import random_affine_instances
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
@@ -273,6 +276,23 @@ class TestRun:
             FixedCount(-1, max_iterations=0)
         with pytest.raises(InvalidInputError, match=r"^max_iterations must be >= 1$"):
             FixedCount(3, max_iterations=0)
+        # a count that is not an integer is refused when the rule is made,
+        # not by numpy inside run
+        for make, name, shown in [
+            (lambda: APosteriori(1e-8, max_iterations=10.5), "max_iterations", "10.5"),
+            (lambda: APriori(1e-8, max_iterations=2.5), "max_iterations", "2.5"),
+            (lambda: FixedCount(3, max_iterations=4.0), "max_iterations", "4.0"),
+            (lambda: FixedCount(3.0), "count", "3.0"),
+            (lambda: FixedCount(3.5), "count", "3.5"),
+            (lambda: FixedCount("3"), "count", "'3'"),
+        ]:
+            with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got {shown}$"):
+                make()
+        with pytest.raises(InvalidInputError, match="^count must be an integer"):
+            FixedCount(np.float64(3.0))
+        trace = run(AFFINE, [0.0], FixedCount(np.int64(3), max_iterations=np.int64(5)))
+        assert trace.n_steps == 3
+        assert run(AFFINE, [0.0], APosteriori(1e-6, max_iterations=np.int64(40))).n_steps == 21
 
     def test_trace_refuses_non_finite_values(self):
         xs = np.array([[0.0], [1.0], [1.5]])
@@ -412,6 +432,12 @@ def _eps_at_and_around(value):
 
 
 DIMENSIONS = [1, 2, 7, 8, 300]
+# Steps to stop at: early ones, and those at and next to the ends of the
+# first two blocks of an a-posteriori run.
+STOP_STEPS = [1, 2, 9, 25, STOP_BLOCK - 1, STOP_BLOCK, STOP_BLOCK + 1, 2 * STOP_BLOCK]
+# max_iterations guards at and next to block and buffer ends
+GUARDS = sorted({2, STOP_BLOCK - 1, STOP_BLOCK, STOP_BLOCK + 1, 2 * STOP_BLOCK,
+                 INITIAL_ROWS - 1, INITIAL_ROWS, INITIAL_ROWS + 1, 2 * INITIAL_ROWS + 1})
 
 
 class _ArrayAffine(Affine):
@@ -537,19 +563,19 @@ class TestSameBitsAsListLoop:
     @pytest.mark.parametrize("name", STEPPING_SCALAR_PROBLEMS)
     def test_scalar_maps_eps_on_and_next_to_a_step(self, name):
         spec, x0 = SCALAR_PROBLEMS[name]
-        values = _stop_values(spec, x0, 25)
-        for n in (1, 2, 9, 25):
+        values = _stop_values(spec, x0, 2 * STOP_BLOCK)
+        for n in STOP_STEPS:
             for eps in _eps_at_and_around(values[n - 1]):
                 _assert_same_as_reference(spec, x0, APosteriori(eps, max_iterations=200))
 
     @pytest.mark.parametrize("m", DIMENSIONS)
     def test_eps_on_and_next_to_a_step(self, m):
         # eps equal to the stop value of step N, or one float either side,
-        # puts step N inside the filter's band.
+        # decides the test at step N by the last bit of its step norm.
         for seed in range(3 if m == 300 else 12):
             spec, x0 = _affine_problem(m, seed, lam=0.6)
-            values = _stop_values(spec, x0, 25)
-            for n in (1, 2, 9, 25):
+            values = _stop_values(spec, x0, 2 * STOP_BLOCK)
+            for n in STOP_STEPS:
                 for eps in _eps_at_and_around(values[n - 1]):
                     _assert_same_as_reference(spec, x0, APosteriori(eps, max_iterations=200))
 
@@ -557,9 +583,9 @@ class TestSameBitsAsListLoop:
     @pytest.mark.parametrize("scale", [2.0**520, 2.0**-520, 2.0**-530, 2.0**-540],
                              ids=["2^520", "2^-520", "2^-530", "2^-540"])
     def test_extreme_scales(self, m, scale):
-        # At 2^520 every dot product overflows and the exact test decides;
-        # from 2^-520 on the squares are subnormal or zero, and the filter
-        # rests on its absolute term.
+        # At 2^520 the unscaled squares would overflow, and from 2^-520 on
+        # they would be subnormal or zero: the batched step norms scale each
+        # row by its largest entry, as norm does, and must keep its bits.
         for seed in range(2 if m == 300 else 6):
             spec, x0 = _affine_problem(m, seed, lam=0.6)
             spec = Affine(a=spec.a, b=scale * spec.b, lam=spec.lam)
@@ -583,14 +609,46 @@ class TestSameBitsAsListLoop:
 
     def test_subnormal_eps_takes_the_exact_test(self):
         # With lam = 2^-600 the stop value of a step near 2^-430 is
-        # subnormal, and rounding it can lose far more than the filter's
-        # relative term: below the smallest normal the filter skips nothing.
+        # subnormal, so its product rounds with an absolute error far above
+        # a relative one: the batched test must round it as a float does.
         rng = np.random.default_rng(11)
         spec0 = Affine(a=[[2.0**-601]], b=[1.0], lam=2.0**-600)
         for b in rng.uniform(2.0**-431, 2.0**-429, 40):
             spec = Affine(a=spec0.a, b=[b], lam=spec0.lam)
             for eps in _eps_at_and_around(_stop_values(spec, [0.0], 1)[0]):
                 _assert_same_as_reference(spec, [0.0], APosteriori(eps, max_iterations=5))
+
+    @pytest.mark.parametrize("m", DIMENSIONS)
+    def test_max_iterations_at_block_and_buffer_boundaries(self, m):
+        # the guard ends a run inside, at the end of, or just past a block
+        # or a buffer, with the stop at the guard, one step before it, or
+        # nowhere.  The map rotates and shrinks by 0.99, so no step is 0.
+        rng = np.random.default_rng(m)
+        rotation = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        spec = Affine(a=0.99 * rotation, b=rng.standard_normal(m), lam=0.995)
+        x0 = rng.standard_normal(m)
+        values = _stop_values(spec, x0, 2 * INITIAL_ROWS + 1)
+        for max_iterations in GUARDS:
+            for eps in (1e-300, values[max_iterations - 1], values[max_iterations - 2]):
+                _assert_same_as_reference(spec, x0, APosteriori(eps, max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("name", STEPPING_SCALAR_PROBLEMS)
+    def test_scalar_maps_max_iterations_at_block_and_buffer_boundaries(self, name):
+        spec, x0 = SCALAR_PROBLEMS[name]
+        for max_iterations in GUARDS:
+            _assert_same_as_reference(spec, x0, APosteriori(1e-300, max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("spec", [Affine(a=[[0.5]], b=[1e308], lam=0.5),
+                                      _ArrayAffine(a=[[0.5]], b=[1e308], lam=0.5)],
+                             ids=["floats", "arrays"])
+    def test_overflow_past_the_stop_is_dropped(self, spec):
+        # the stop value of step 1 is 5e307 <= eps; step 3 overflows in the
+        # same block, and is dropped with no error and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(spec, [1e308], APosteriori(1e308))
+        assert trace.n_steps == 1 and trace.stop_reason is StopReason.A_POSTERIORI
+        _assert_same_as_reference(spec, [1e308], APosteriori(1e308))
 
     def test_non_finite_step_raises(self):
         # x^3 overflows; with the guard at 3 the run must still take that
@@ -674,6 +732,26 @@ class TestProvenFastMap:
                 for max_iterations in (200, n):
                     self._assert_steps_taken_then_proven(
                         wrong, x0, APosteriori(eps, max_iterations=max_iterations))
+
+    @pytest.mark.parametrize("n", [2, 9, STOP_BLOCK + 2])
+    def test_one_ulp_off_only_past_the_stop(self, n, monkeypatch):
+        # the wrong step is computed in the stop's block but dropped: the
+        # proof covers only the kept steps, so nothing runs again.  Near
+        # E = 0 the map contracts by about 0.9, so no step is 0 before 40.
+        spec, x0 = KeplerScalar(e=0.9, mean_anomaly=0.1, lam=0.95), [3.0]
+        rule = APosteriori(_stop_values(spec, x0, n)[n - 1], max_iterations=200)
+        assert _reference_run(spec, x0, rule)[0].shape[0] - 1 == n
+        proof, unproven = engine._first_unproven_step, []
+        monkeypatch.setattr(engine, "_first_unproven_step",
+                            lambda *args: unproven.append(proof(*args)) or unproven[-1])
+        block_end = -(-n // STOP_BLOCK) * STOP_BLOCK
+        for off_at in (n + 1, block_end):
+            unproven.clear()
+            wrong = _UlpOffKepler(e=spec.e, mean_anomaly=spec.mean_anomaly, lam=spec.lam,
+                                  off_at=off_at)
+            _assert_same_as_reference(wrong, x0, rule)
+            assert unproven == [0]
+            assert next(wrong.calls[-1]) - 1 == block_end
 
     @pytest.mark.parametrize("rule", [FixedCount(10), APosteriori(5e-324, max_iterations=10),
                                       FixedCount(10, max_iterations=4)], ids=_rule_id)
