@@ -31,12 +31,11 @@ from .cone import (
     TolerancePolicy,
     as_vector,
     norm,
-    norm_each_row,
     row_norms,
 )
 from .contraction import ContractionSpec, FilledOnFirstRead, evaluate, evaluate_batch
 from .engine import IterationTrace, first_step, refuse_non_finite_rows, tail_bound
-from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessError
+from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessError, check_integer
 
 DEFAULT_WITNESS_SAMPLES = 32
 
@@ -86,29 +85,31 @@ class OmegaSpec:
         return self.d / (1.0 - self.spec.lam)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def omega_bounds(om: OmegaSpec, x) -> tuple[float, float]:
-    """The two lower bounds Omega imposes on t at the point x."""
+    """The two lower bounds Omega imposes on t at the point x: one row of
+    :func:`_omega_bounds_rows`.  A non-finite norm raises
+    :class:`InvalidInputError`."""
     x = as_vector(x)
     if x.size != om.x0.size:
         raise DimensionMismatchError(
             f"point has dimension {x.size}, expected {om.x0.size}"
         )
-    drift = norm(x - om.x0)
-    residual = norm(evaluate(om.spec, x) - x)
-    return drift, (om.d + residual) / (1.0 - om.spec.lam)
+    (drift,), (floor,) = _omega_bounds_rows(om, x[None])
+    if np.isnan(drift) or np.isnan(floor):
+        raise InvalidInputError(NON_FINITE_NORM)
+    return float(drift), float(floor)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _omega_bounds_rows(om: OmegaSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`omega_bounds` at each row of the (k, m) array ``xs``, bit for
-    bit, with NaN where :func:`norm` would raise.  The map is applied point
-    by point, as :func:`evaluate` does, so no row depends on a batched
-    product's rounding."""
+    """The two bounds of Omega at each row of the (k, m) array ``xs``, with
+    NaN where a norm is non-finite.  The map is applied point by point, as
+    :func:`evaluate` does, so no row depends on a batched product's
+    rounding."""
     apply = om.spec._apply
     fxs = np.array([apply(x) for x in xs], dtype=float).reshape(xs.shape)
-    drift = norm_each_row(xs - om.x0)
-    residual = norm_each_row(fxs - xs)
+    drift = row_norms(xs - om.x0)
+    residual = row_norms(fxs - xs)
     return drift, (om.d + residual) / (1.0 - om.spec.lam)
 
 
@@ -151,6 +152,8 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
     points and their floors are then computed for all samples at once, bit
     for bit what :func:`norm` and :func:`omega_t_floor` give at each.
     """
+    check_integer("count", count)
+    check_integer("seed", seed)
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     if seed < 0:
@@ -172,7 +175,7 @@ def sample_omega(om: OmegaSpec, count: int, seed: int) -> list[AugmentedPoint]:
         # low + (high - low) * next_double, at a third of its call cost
         radii[k] = 0.0 + radius * rng.random()
         offsets[k] = 0.0 + 5.0 * rng.random()
-    xs = om.x0 + (radii / norm_each_row(us))[:, None] * us
+    xs = om.x0 + (radii / row_norms(us))[:, None] * us
     if not np.isfinite(xs).all():
         raise InvalidInputError("vector coordinates must be finite")
     floors = np.maximum(*_omega_bounds_rows(om, xs))
@@ -480,14 +483,15 @@ def verify_certificate(
 
     # (c) limit: (x*, t*) below every witness, with slack inflated by the
     # certified distance from x^N to the true fixed point, and f(x*) ~ x*.
-    lower = (wt - t_star) - norm_each_row(wx - x_star)
+    lower = (wt - t_star) - row_norms(wx - x_star)
     if np.isnan(lower).any():
         raise InvalidInputError(NON_FINITE_NORM)
     i = _first_excess(-lower, stop_bound + tol.margin(wt - t_star))
     if i is not None:
         failures.append(f"limit check failed for witness {i} (residual {lower[i]:.6e})")
+    x_norms = row_norms(xs)
     fp_residual = norm(evaluate(spec, x_star) - x_star)
-    fp_tolerance = lam**n_steps * d + tol.margin(norm(x_star))
+    fp_tolerance = lam**n_steps * d + tol.margin(float(x_norms[-1]))
     if _first_excess(fp_residual, fp_tolerance) is not None:
         failures.append(f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
 
@@ -497,7 +501,7 @@ def verify_certificate(
     consistency_t[0] = abs(ts[0])
     consistency_x[1:] = row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
     consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
-    n = _first_excess((consistency_x, consistency_t), (tol.margin(row_norms(xs)), tol.margin(ts)))
+    n = _first_excess((consistency_x, consistency_t), (tol.margin(x_norms), tol.margin(ts)))
     if n is not None:
         failures.append(f"trace consistency failed at point {n} "
                         f"(x echo {consistency_x[n]:.6e}, t echo {consistency_t[n]:.6e})")

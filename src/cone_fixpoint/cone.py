@@ -35,15 +35,14 @@ def as_vector(coords) -> np.ndarray:
 
 
 def norm(x) -> float:
-    """Euclidean norm via a scaled sum of squares (no overflow for large entries)."""
-    x = np.asarray(x, dtype=float)
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
-    if scale == 0.0:
+    """Euclidean norm of a vector: :func:`row_norms` of it as one row.  A
+    non-finite entry raises :class:`InvalidInputError`."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if not x.size:
         return 0.0
-    if not math.isfinite(scale):
+    if not np.isfinite(x).all():
         raise InvalidInputError(NON_FINITE_NORM)
-    y = x / scale
-    return scale * math.sqrt(float(np.dot(y, y)))
+    return float(row_norms(x)[0])
 
 
 # From this many columns on, numpy sums a row with 8-way pairwise
@@ -52,15 +51,15 @@ PAIRWISE_SUM_MIN_COLUMNS = 8
 
 
 def row_norms(xs: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row (the last axis) of an array, max-abs scaled.
+    """Euclidean norm of each row (the last axis) of an array, max-abs
+    scaled: the one norm kernel of the package.
 
-    The squares of each scaled row are summed in ``np.sum``'s order: a plain
-    left-to-right sum below :data:`PAIRWISE_SUM_MIN_COLUMNS` columns, which
-    is computed here column by column (much faster for narrow rows), and
-    numpy's pairwise sum from that width on.  Neither is the order of the
-    dot product inside :func:`norm`, so a result can differ from
-    :func:`norm` in the last bit at any width; :func:`norm_each_row` is the
-    kernel that matches :func:`norm` bit for bit.
+    The squares of each scaled row are summed in ``np.sum``'s order, which
+    no BLAS kernel enters: a plain left-to-right sum below
+    :data:`PAIRWISE_SUM_MIN_COLUMNS` columns, computed here column by column
+    (much faster for narrow rows), and numpy's pairwise sum from that width
+    on.  A row with a non-finite entry gets NaN (an infinite entry scales to
+    inf / inf); callers that must refuse such rows test for it.
     """
     xs = np.asarray(xs, dtype=float)
     m = xs.shape[-1]
@@ -91,18 +90,6 @@ def row_norms(xs: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(xs), axis=-1)
     safe = np.where(scale == 0.0, 1.0, scale)
     return scale * np.sqrt(np.sum((xs / safe[..., None]) ** 2, axis=-1))
-
-
-def norm_each_row(xs: np.ndarray) -> np.ndarray:
-    """:func:`norm` of each row of a 2-D array, bit for bit: the same max-abs
-    scaling, and ``vecdot`` runs the same dot kernel as ``np.dot``.  Where
-    :func:`norm` would raise, on a row with a non-finite entry, the result
-    is NaN (an infinite entry scales to inf / inf); callers that must refuse
-    such rows test for it."""
-    xs = np.asarray(xs, dtype=float)
-    scale = np.max(np.abs(xs), axis=1)
-    y = xs / np.where(scale == 0.0, 1.0, scale)[:, None]
-    return scale * np.sqrt(np.vecdot(y, y))
 
 
 @dataclass(frozen=True, eq=False)

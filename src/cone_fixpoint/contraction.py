@@ -31,6 +31,7 @@ from .errors import (
     InvalidSpecError,
     NotAContractionError,
     UnsupportedInstanceError,
+    check_integer,
 )
 
 # Slack allowed between a family's measured factor and its declared one.
@@ -562,8 +563,12 @@ def empirical_lipschitz(spec: ContractionSpec, sample_count: int, seed: int) -> 
     the result is deterministic given the seed and, for a valid spec, never
     exceeds the declared factor by more than rounding.
     """
+    check_integer("sample_count", sample_count)
+    check_integer("seed", seed)
     if sample_count < 1:
         raise InvalidInputError("sample_count must be >= 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     m = spec.dimension
     rng = np.random.default_rng(seed)
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import NON_FINITE_NORM, AugmentedPoint, as_vector, norm, norm_each_row
+from .cone import NON_FINITE_NORM, AugmentedPoint, as_vector, norm, row_norms
 from .contraction import ContractionSpec, evaluate
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError, check_integer
 
 DEFAULT_MAX_ITERATIONS = 1_000_000
 
@@ -57,21 +56,12 @@ def _check_positive(name: str, v: float):
         raise InvalidInputError(f"{name} must be finite and > 0, got {v}")
 
 
-def _check_integer(name: str, v):
-    """Refuse a step count that is not an integer (``operator.index``
-    accepts Python and numpy integers only)."""
-    try:
-        operator.index(v)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {v!r}") from None
-
-
 def _check_rule(rule):
     """Checks shared by the stopping rules: eps (where the rule has one) must
     be finite and > 0, and the max_iterations guard an integer >= 1."""
     if hasattr(rule, "eps"):
         _check_positive("eps", rule.eps)
-    _check_integer("max_iterations", rule.max_iterations)
+    check_integer("max_iterations", rule.max_iterations)
     if rule.max_iterations < 1:
         raise InvalidInputError("max_iterations must be >= 1")
 
@@ -104,7 +94,7 @@ class FixedCount:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
-        _check_integer("count", self.count)
+        check_integer("count", self.count)
         if self.count < 0:
             raise InvalidInputError("count must be >= 0")
         _check_rule(self)
@@ -259,13 +249,12 @@ def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, first: int, 
     full.  ``step`` takes x^n to x^{n+1}: on floats it returns it, on arrays
     it writes it into row n+1, and x^n is a view of row n.  Without a
     ``stop_factor`` every step is taken, untested.  With one the steps go in
-    blocks of :data:`STOP_BLOCK`, and after each block one
-    :func:`norm_each_row` call, which gives :func:`norm`'s bits, takes the
-    a-posteriori test ``stop_factor * norm(x^n - x^{n-1}) <= eps`` on all of
-    its steps: the run ends at the first step that passes, or raises if
-    that step's norm is non-finite, and the steps computed past it are
-    dropped; a run no step stops ends flagged MAX_ITERATIONS.  Returns the
-    buffers, the last step kept and the stop reason."""
+    blocks of :data:`STOP_BLOCK`, and after each block one :func:`row_norms`
+    call takes the a-posteriori test ``stop_factor * norm(x^n - x^{n-1}) <=
+    eps`` on all of its steps: the run ends at the first step that passes,
+    or raises if that step's norm is non-finite, and the steps computed past
+    it are dropped; a run no step stops ends flagged MAX_ITERATIONS.
+    Returns the buffers, the last step kept and the stop reason."""
     x = float(xs[first - 1]) if on_floats else xs[first - 1]
     t = float(ts[first - 1])
     start = first
@@ -283,7 +272,7 @@ def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, first: int, 
                 x = xs[n]
         if stop_factor is not None:
             steps = xs[start : end + 1] - xs[start - 1 : end]
-            step_norms = norm_each_row(steps.reshape(end + 1 - start, -1))
+            step_norms = row_norms(steps.reshape(end + 1 - start, -1))
             passed = ~(stop_factor * step_norms > eps)
             if passed.any():
                 k = int(np.argmax(passed))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of
+every count and seed argument."""
+
+import operator
 
 
 class ConeFixpointError(Exception):
@@ -39,3 +42,12 @@ class UnsupportedInstanceError(ConeFixpointError, ValueError):
 
 class ProblemFileError(ConeFixpointError, ValueError):
     """A problem description file is malformed."""
+
+
+def check_integer(name: str, v):
+    """Refuse a count or seed that is not an integer (``operator.index``
+    accepts Python and numpy integers only)."""
+    try:
+        operator.index(v)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {v!r}") from None

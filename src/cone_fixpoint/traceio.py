@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .certificate import ConvergenceCertificate
-from .cone import NON_FINITE_NORM, norm_each_row
+from .cone import NON_FINITE_NORM, row_norms
 from .contraction import FAMILIES, ContractionSpec
 from .engine import IterationTrace, first_step
 from .errors import (
@@ -82,7 +82,7 @@ def trace_csv_header(m: int) -> list[str]:
 def write_trace_csv(trace: IterationTrace, path: str):
     xs, ts = trace.xs, trace.ts
     m = trace.dimension
-    step_norms = norm_each_row(np.diff(xs, axis=0))
+    step_norms = row_norms(np.diff(xs, axis=0))
     if np.isnan(step_norms).any():
         raise InvalidInputError(NON_FINITE_NORM)
     step_norm = np.concatenate(([0.0], step_norms))

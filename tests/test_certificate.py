@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ from cone_fixpoint import (
 )
 from cone_fixpoint import certificate
 from cone_fixpoint.certificate import BLOCK_ELEMENTS, ROW_BLOCK
-from cone_fixpoint.cone import norm_each_row, row_norms
+from cone_fixpoint.cone import NON_FINITE_NORM, PAIRWISE_SUM_MIN_COLUMNS, row_norms
 from test_acceptance import random_affine_instances
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
@@ -141,6 +143,14 @@ class TestSampleOmega:
     def test_count_validated(self, affine_omega):
         with pytest.raises(InvalidInputError):
             sample_omega(affine_omega, 0, seed=1)
+
+    def test_non_integer_count_refused(self, affine_omega):
+        with pytest.raises(InvalidInputError, match=r"^count must be an integer, got 2\.5$"):
+            sample_omega(affine_omega, 2.5, 0)
+
+    def test_non_integer_seed_refused(self, affine_omega):
+        with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got 1\.5$"):
+            sample_omega(affine_omega, 3, 1.5)
 
     def test_samples_are_read_only(self, affine_omega):
         for w in sample_omega(affine_omega, 4, seed=2):
@@ -320,6 +330,20 @@ def _rebuild(trace, xs=None, ts=None):
 
 
 # --- bit identity with the per-witness verifier --------------------------------
+
+def _left_to_right_norm(x):
+    """The norm of the list of floats ``x``, max-abs scaled, with its
+    squares summed left to right in Python floats (not sum(), which
+    compensates from Python 3.12 on)."""
+    scale = max(abs(v) for v in x)
+    if scale == 0.0:
+        return 0.0
+    acc = 0.0
+    for v in x:
+        y = v / scale
+        acc += y * y
+    return scale * math.sqrt(acc)
+
 
 def _reference_row_norms(xs):
     """The row form every width used before narrow rows went column-wise."""
@@ -597,26 +621,39 @@ class TestSameBitsAsPerWitnessVerifier:
         with pytest.raises(DimensionMismatchError, match="witness 1 has dimension 2"):
             verify_certificate(trace, witnesses)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9, 20, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 64])
     def test_row_kernels(self, m):
+        """The one summation order of every norm: left to right below
+        PAIRWISE_SUM_MIN_COLUMNS columns, np.sum's pairwise order from there
+        on, the same bits for a row alone (norm) and inside any block."""
         rng = np.random.default_rng(m)
         for scale in (1.0, 1e150, 1e-150):
             xs = scale * rng.standard_normal((500, m)) * np.exp(rng.uniform(-30, 30, (500, m)))
             xs[3] = 0.0
             xs[4, 0] = -xs[4, 0]
-            assert row_norms(xs).tobytes() == _reference_row_norms(xs).tobytes()
+            if m < PAIRWISE_SUM_MIN_COLUMNS:
+                expected = np.array([_left_to_right_norm(x) for x in xs.tolist()])
+            else:
+                expected = _reference_row_norms(xs)
+            assert row_norms(xs).tobytes() == expected.tobytes()
             blocks = xs.reshape(5, 100, m)
-            assert row_norms(blocks).tobytes() == _reference_row_norms(xs).tobytes()
-            assert norm_each_row(xs).tobytes() == np.array([norm(x) for x in xs]).tobytes()
+            assert row_norms(blocks).tobytes() == expected.tobytes()
+            assert np.array([norm(x) for x in xs]).tobytes() == expected.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("m", [1, 2, 9])
     def test_row_kernels_on_non_finite_rows(self, m):
         xs = np.ones((6, m))
         xs[1, 0], xs[2, -1], xs[3, 0], xs[4, -1] = np.inf, np.nan, -np.inf, -np.nan
-        assert row_norms(xs).tobytes() == _reference_row_norms(xs).tobytes()
-        got = norm_each_row(xs)
+        got = row_norms(xs)
+        assert got.tobytes() == _reference_row_norms(xs).tobytes()
         assert np.isnan(got[1:5]).all() and got[0] == got[5] == norm(xs[0])
+        for x in xs[1:5]:
+            # norm refuses the row before dividing inf by inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match=f"^{NON_FINITE_NORM}$"):
+                    norm(x)
 
 
 # --- the bounded check's row-block filter -------------------------------------
@@ -624,7 +661,8 @@ class TestSameBitsAsPerWitnessVerifier:
 class TestSampledWitnessBoundsReused:
     """When verify_certificate samples its own witnesses it applies the map
     once per sampled point, to build it, and does not re-check them;
-    supplied witnesses are checked in full, one omega_bounds call each."""
+    supplied witnesses are checked in full, one omega_bounds call each,
+    which takes one row of _omega_bounds_rows."""
 
     def _counted(self, monkeypatch, name):
         """The shapes of the points passed to ``certificate.<name>``, one
@@ -651,7 +689,7 @@ class TestSampledWitnessBoundsReused:
         witnesses = certificate.default_witnesses(om, 16, seed=4)
         del rows[:]
         supplied = verify_certificate(trace, witnesses)
-        assert (rows, points) == ([], [(m,)] * 17)
+        assert (rows, points) == ([(1, m)] * 17, [(m,)] * 17)
         for field in dataclasses.fields(ConvergenceCertificate):
             assert _bits(getattr(own, field.name)) == _bits(getattr(supplied, field.name)), field.name
 

@@ -482,6 +482,14 @@ class TestEmpiricalLipschitz:
         with pytest.raises(InvalidInputError):
             empirical_lipschitz(Constant(c=[1.0], lam=0.5), 0, seed=1)
 
+    def test_non_integer_sample_count_refused(self):
+        with pytest.raises(InvalidInputError, match=r"^sample_count must be an integer, got 2\.5$"):
+            empirical_lipschitz(Constant(c=[1.0], lam=0.5), 2.5, 0)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(InvalidInputError, match=r"^seed must be non-negative, got -1$"):
+            empirical_lipschitz(Constant(c=[1.0], lam=0.5), 10, -1)
+
 
 @st.composite
 def affine_contractions(draw):

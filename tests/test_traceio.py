@@ -26,6 +26,7 @@ from cone_fixpoint import (
     run,
     verify_certificate,
 )
+from cone_fixpoint.cone import row_norms
 from cone_fixpoint.contraction import FAMILIES
 from cone_fixpoint.traceio import (
     certificate_doc,
@@ -101,6 +102,24 @@ class TestTraceCsv:
             step_norm, t_inc, mono = float(row[3]), float(row[4]), float(row[5])
             assert mono == t_inc - step_norm
         assert [float(r[1]) for r in rows] == [0.0, 1.0, 1.5, 1.75]
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 20])
+    def test_derived_columns_have_the_verifiers_bits(self, tmp_path, m):
+        """The step_norm and mono_residual columns hold the verifier's step
+        norms and monotone residuals bit for bit: one norm kernel takes both."""
+        rng = np.random.default_rng(800 + m)
+        raw = rng.standard_normal((m, m))
+        a = raw * (0.9 / float(np.linalg.svd(raw, compute_uv=False)[0]))
+        spec = Affine(a=a, b=rng.standard_normal(m), lam=0.9)
+        trace = run(spec, rng.standard_normal(m), FixedCount(300))
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, str(path))
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))[1:]
+        step_norm = np.array([float(r["step_norm"]) for r in rows])
+        mono = np.array([float(r["mono_residual"]) for r in rows])
+        assert step_norm.tobytes() == row_norms(np.diff(trace.xs, axis=0)).tobytes()
+        assert mono.tobytes() == verify_certificate(trace).monotone_residuals.tobytes()
 
     def test_no_temp_files_left(self, tmp_path):
         trace = run(AFFINE, [0.0], FixedCount(2))
