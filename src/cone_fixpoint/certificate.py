@@ -26,7 +26,6 @@ import numpy as np
 
 from .cone import (
     NON_FINITE_NORM,
-    PAIRWISE_SUM_MIN_COLUMNS,
     AugmentedPoint,
     TolerancePolicy,
     as_vector,
@@ -39,11 +38,8 @@ from .errors import DimensionMismatchError, InvalidInputError, InvalidWitnessErr
 
 DEFAULT_WITNESS_SAMPLES = 32
 
-# The bounded check computes the residuals of the pairs it keeps, and fills
-# its (witnesses, points) residual matrix, in blocks of at most this many
-# elements (at least one witness's row per block); from
-# PAIRWISE_SUM_MIN_COLUMNS columns on, the matrix is filled one witness at a
-# time.
+# The bounded check computes the residuals of the pairs it keeps in chunks
+# of at most this many elements, or of N + 1 pairs if that is more.
 BLOCK_ELEMENTS = 1 << 15
 
 # The bounded check decides every trace by blocks of ROW_BLOCK consecutive
@@ -194,9 +190,10 @@ def default_witnesses(om: OmegaSpec, count: int = DEFAULT_WITNESS_SAMPLES, seed:
 
 
 class BoundedSummary(NamedTuple):
-    """The bounded check's residual matrix in brief: its size, its lowest
-    entry (NaN if it holds one) and where that entry first occurs, in
-    (witness, step) order; the last three are None without witnesses."""
+    """The bounded check's residual matrix in brief: its size and, in
+    (witness, step) order, its first NaN, else its first lowest entry, with
+    that entry's own bits, and where it is; the last three are None without
+    witnesses."""
 
     count: int
     min_residual: float | None
@@ -205,16 +202,13 @@ class BoundedSummary(NamedTuple):
 
 
 def _summary_of_rows(rows) -> BoundedSummary:
-    """The summary of the rows of a residual matrix: the lowest row minimum,
-    the first row that has it, and where in that row it first occurs.  A
-    NaN minimum is the row's first NaN itself, as the bounded check takes
-    it; a zero minimum has np.min's sign."""
+    """The summary of the rows of a residual matrix: the entry at the first
+    np.argmin of the rows laid end to end."""
     if not rows:
         return BoundedSummary(0, None, None, None)
-    firsts = [int(np.argmin(r)) for r in rows]  # each row's first NaN, else first lowest
-    mins = [float(r[k]) if np.isnan(r[k]) else float(np.min(r)) for r, k in zip(rows, firsts)]
-    i = int(np.argmin(mins))
-    return BoundedSummary(sum(r.size for r in rows), mins[i], i, firsts[i])
+    flat = np.concatenate(rows)
+    k = int(np.argmin(flat))  # the first NaN, else the first lowest entry
+    return BoundedSummary(flat.size, float(flat[k]), *divmod(k, rows[0].size))
 
 
 @dataclass(frozen=True)
@@ -279,33 +273,14 @@ def _first_excess(excess, allowed) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _bounded_residuals(wx, wt, xs, ts) -> np.ndarray:
-    """The bounded check's (W, N+1) residual matrix ``w.t - t^n -
-    ||w.x - x^n||``, row i for witness i, filled a block of witnesses at a
-    time; below PAIRWISE_SUM_MIN_COLUMNS columns the differences are laid out
-    so that each coordinate is contiguous for the narrow-row kernel."""
-    n_points, m = xs.shape
-    residuals = np.empty((wt.size, n_points))
-    if m < PAIRWISE_SUM_MIN_COLUMNS:
-        block = max(1, BLOCK_ELEMENTS // n_points)
-        xt = np.ascontiguousarray(xs.T)
-
-        def differences(a, b):
-            return np.moveaxis(wx[a:b, :, None] - xt, 1, -1)
-    else:
-        block = 1
-
-        def differences(a, b):
-            return wx[a:b, None, :] - xs
-    for start in range(0, wt.size, block):
-        stop = start + block
-        resid = np.subtract(wt[start:stop, None], ts, out=residuals[start:stop])
-        resid -= row_norms(differences(start, stop))
-    return residuals
+def _witness_residuals(wx, wt, xs, ts) -> tuple[np.ndarray, ...]:
+    """The bounded check's residuals by their definition, ``(w.t - t^n) -
+    ||w.x - x^n||``, one row per witness."""
+    return tuple((w_t - ts) - row_norms(w_x - xs) for w_x, w_t in zip(wx, wt))
 
 
 def _pair_residuals(wx, wt, xs, ts, i, n) -> np.ndarray:
-    """The entries (i[k], n[k]) of :func:`_bounded_residuals`, such as the
+    """The entries (i[k], n[k]) of :func:`_witness_residuals`, such as the
     pairs the row-block filter keeps, bit for bit at every width: the same
     operations on the gathered rows, max(N+1, BLOCK_ELEMENTS // m) pairs at a
     time (:func:`row_norms` gives each row the same bits however the rows
@@ -380,28 +355,24 @@ def _pairs_in_undecided_blocks(wx, wt, xs, ts, steps) -> np.ndarray:
     return (w[:, None] * n_points + rows)[rows < n_points]
 
 
-def _summary_of_pairs(wx, wt, xs, ts, resid, pairs) -> BoundedSummary:
-    """:func:`_summary_of_rows` of the whole residual matrix from the exact
-    residuals ``resid`` of the pairs with flat indices ``pairs`` (w (N+1) + n,
-    ascending), which must hold every NaN and every pair that may be the
-    lowest."""
-    if not wt.size:
+def _summary_of_pairs(resid, pairs, n_witnesses, n_points) -> BoundedSummary:
+    """:func:`_summary_of_rows` of the whole (n_witnesses, n_points) residual
+    matrix from the exact residuals ``resid`` of the pairs with flat indices
+    ``pairs`` (w (N+1) + n, ascending), which must hold every NaN and every
+    pair that may be the lowest."""
+    if not n_witnesses:
         return BoundedSummary(0, None, None, None)
-    k = int(np.argmin(resid))  # the first NaN, else the first lowest
-    w, n = divmod(int(pairs[k]), ts.size)
-    low = float(resid[k])
-    if low == 0.0:
-        # np.min's choice between 0.0 and -0.0 depends on its order: take it
-        # from the witness's whole row.
-        low = float(np.min(_bounded_residuals(wx[w : w + 1], wt[w : w + 1], xs, ts)))
-    return BoundedSummary(wt.size * ts.size, low, w, n)
+    k = int(np.argmin(resid))  # the first NaN, else the first lowest entry
+    w, n = divmod(int(pairs[k]), n_points)
+    return BoundedSummary(n_witnesses * n_points, float(resid[k]), w, n)
 
 
 def _bounded_check(wx, wt, xs, ts, steps, tol):
     """The bounded check's first failure, its summary and its
     ``witness_residuals``, given the step norms ``steps`` of the trace: the
     exact residuals of the pairs in the blocks the row-block filter keeps
-    decide the check, and the whole matrix is filled on first read."""
+    decide the check, and :func:`_witness_residuals` fills the whole matrix
+    on first read."""
     n_points = ts.size
     pairs = _pairs_in_undecided_blocks(wx, wt, xs, ts, steps)
     resid = _pair_residuals(wx, wt, xs, ts, *np.divmod(pairs, n_points))
@@ -411,8 +382,8 @@ def _bounded_check(wx, wt, xs, ts, steps, tol):
     k = _first_excess(-resid[low], tol.margin(wt[i] - ts[n]))
     failure = None if k is None else (f"bounded check failed for witness {i[k]} at step {n[k]} "
                                       f"(residual {resid[low[k]]:.6e})")
-    return (failure, _summary_of_pairs(wx, wt, xs, ts, resid, pairs),
-            lambda: tuple(_bounded_residuals(wx, wt, xs, ts)))
+    return (failure, _summary_of_pairs(resid, pairs, wt.size, n_points),
+            lambda: _witness_residuals(wx, wt, xs, ts))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -496,11 +467,9 @@ def verify_certificate(
         failures.append(f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
 
     # (d) consistency: the points must actually satisfy the recurrences.
-    consistency_x, consistency_t = np.zeros(ts.size), np.zeros(ts.size)
-    consistency_x[0] = norm(xs[0] - x0)
-    consistency_t[0] = abs(ts[0])
-    consistency_x[1:] = row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
-    consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
+    # Row 0 echoes x^0 - x0 and t^0 - 0.0, which is t^0 itself, -0.0 too.
+    consistency_x = row_norms(xs - np.vstack((x0, evaluate_batch(spec, xs[:-1]))))
+    consistency_t = np.abs(ts - np.concatenate(([0.0], lam * ts[:-1] + d)))
     n = _first_excess((consistency_x, consistency_t), (tol.margin(x_norms), tol.margin(ts)))
     if n is not None:
         failures.append(f"trace consistency failed at point {n} "

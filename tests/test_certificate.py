@@ -1,7 +1,12 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +282,18 @@ class TestVerifyCertificate:
             with pytest.raises(InvalidInputError, match=f"trace row {k} has a non-finite value"):
                 verify_certificate(trace, [AugmentedPoint([0.0], 4.0)])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_overflowing_echo_fails_in_every_row(self, row):
+        # x^0 - x0, or x^1 - f(x^0), overflows: the echo is NaN and the
+        # trace fails, in the first row as in the others
+        xs = np.full((3, 1), -1.5e308)
+        xs[row] = 1.5e308
+        trace = IterationTrace(spec=Constant([-1.5e308], 0.5), x0=[-1.5e308], d=0.0, xs=xs,
+                               ts=np.zeros(3), stop_reason=None)
+        cert = _assert_same_certificate(trace, [AugmentedPoint([-1.5e308], 1.0)])
+        assert not cert.passed and np.isnan(cert.consistency_x[row])
+
     def test_strict_policy_on_clean_integers(self):
         # constant map yields an exactly-representable trace
         spec = Constant(c=[3.0, 4.0], lam=0.5)
@@ -449,7 +466,7 @@ def _reference_verify(trace, witnesses=None, tol=None, *, omega_sample_count=32,
 
     consistency_x = np.zeros(n_points)
     consistency_t = np.zeros(n_points)
-    consistency_x[0] = norm(xs[0] - x0)
+    consistency_x[0] = _reference_row_norms([xs[0] - x0])[0]
     consistency_t[0] = abs(ts[0])
     if n_steps:
         consistency_x[1:] = _reference_row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
@@ -703,8 +720,9 @@ class TestSampledWitnessBoundsReused:
 
 def _full_matrix_bounded_check(wx, wt, xs, ts, tol):
     """The bounded check from the whole residual matrix, in the per-witness
-    loop's order: the first failing (witness, step) and the summary as the
-    certificate document took it from the rows."""
+    loop's order: the first failing (witness, step), and the summary of one
+    pass over the entries in (witness, step) order, which keeps the first
+    NaN, else the first entry below all before it."""
     rows = [(w_t - ts) - _reference_row_norms(w_x - xs) for w_x, w_t in zip(wx, wt)]
     failure = None
     for i, resid in enumerate(rows):
@@ -716,10 +734,14 @@ def _full_matrix_bounded_check(wx, wt, xs, ts, tol):
             break
     if not rows:
         return failure, (0, None, None, None)
-    # a NaN minimum is the row's first NaN itself, not the NaN np.min makes
-    mins = [r[np.isnan(r)][0] if np.isnan(r).any() else float(np.min(r)) for r in rows]
-    w = int(np.argmin(mins))
-    return failure, (len(rows) * ts.size, float(mins[w]), w, int(np.argmin(rows[w])))
+    at = None
+    for i, row in enumerate(rows):
+        for n, r in enumerate(row.tolist()):
+            if math.isnan(r):
+                return failure, (len(rows) * ts.size, float(row[n]), i, n)
+            if at is None or r < low:
+                at, low = (i, n), r
+    return failure, (len(rows) * ts.size, float(rows[at[0]][at[1]]), *at)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -785,6 +807,35 @@ def _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs, ts):
         for r in full.ravel()[skipped].tolist():
             assert r == np.inf or Fraction(r) > floor
     return skipped
+
+
+# (m, N + 1, a, b): at these ties np.min's sign under numpy's AVX-512 or
+# AVX2 loops, or both, is not its sign under the baseline loops.
+TIE_CASES = ((1, 9, 0, 6), (2, 9, 6, 0), (8, 17, 0, 14), (7, 17, 16, 0))
+
+# The certificates of a +-0 tie for each of TIE_CASES, in one JSON document:
+# witness 1's row meets its minimum 0 as -0.0 at row a and as +0.0 at row b.
+# x0 = x^a is the map's fixed point, so d = 0 and (x^a, -0.0) is a member of
+# the bounding set.
+TIE_CERTIFICATES = f"""
+import sys
+import numpy as np
+from cone_fixpoint import AugmentedPoint, Constant, IterationTrace, verify_certificate
+from cone_fixpoint.traceio import certificate_doc, dump_certificate
+
+docs = []
+for m, n_points, a, b in {TIE_CASES!r}:
+    rng = np.random.default_rng(n_points)
+    xs = rng.standard_normal((n_points, m))
+    ts = np.full(n_points, -1e3)
+    xs[b] = xs[a]
+    ts[a], ts[b] = 0.0, -0.0
+    trace = IterationTrace(spec=Constant(xs[a], 0.5), x0=xs[a], d=0.0, xs=xs, ts=ts,
+                           stop_reason=None)
+    witnesses = [AugmentedPoint(xs[a] + 1.0, 1e4), AugmentedPoint(xs[a], -0.0)]
+    docs.append(certificate_doc(verify_certificate(trace, witnesses), {{}}, 0, full=True))
+sys.stdout.write(dump_certificate({{"ties": docs}}))
+"""
 
 
 class TestBoundedFilter:
@@ -861,8 +912,8 @@ class TestBoundedFilter:
         pairs_in_blocks = certificate._pairs_in_undecided_blocks
         monkeypatch.setattr(certificate, "_pairs_in_undecided_blocks",
                             lambda *args: calls.append(args) or pairs_in_blocks(*args))
-        fill = certificate._bounded_residuals
-        monkeypatch.setattr(certificate, "_bounded_residuals",
+        fill = certificate._witness_residuals
+        monkeypatch.setattr(certificate, "_witness_residuals",
                             lambda *args: fills.append(args) or fill(*args))
         spec, x0 = _affine(m, seed=900 + m, lam=0.999)
         trace = run(spec, x0, FixedCount(n_points - 1))
@@ -937,10 +988,9 @@ class TestBoundedFilter:
         elif case == "far-apart-rows":
             xs[319] = 1.5e308
             wx, wt = wx[1:], wt[1:]
-        # a NaN's sign bit depends on the operation that made it (np.min
-        # makes its own): the summary is compared with that of the whole
-        # matrix's rows, as a certificate takes it from them
-        residuals = certificate._bounded_residuals(wx, wt, xs, ts)
+        # a NaN's sign bit depends on the operation that made it: the
+        # summary is compared with that of the rows the certificate fills
+        residuals = np.array(certificate._witness_residuals(wx, wt, xs, ts))
         whole = certificate._summary_of_rows(tuple(residuals))
         for tol in (TolerancePolicy(), STRICT):
             failure, summary, rows = certificate._bounded_check(wx, wt, xs, ts, _step_norms(xs),
@@ -968,7 +1018,7 @@ class TestBoundedFilter:
             ts = np.abs(rng.standard_normal(n_points))
             wx = np.vstack([rng.standard_normal((5, m)), xs[3], xs[5], -xs[7]])
             wt = np.concatenate([rng.uniform(0.0, 10.0, 5), [0.0, -0.0, ts[7]]])
-            matrix = certificate._bounded_residuals(wx, wt, xs, ts)
+            matrix = np.array(certificate._witness_residuals(wx, wt, xs, ts))
             for size in (1, 57, 3 * n_points + 11, wt.size * n_points):
                 flat = np.sort(rng.choice(wt.size * n_points, size, replace=False))
                 i, n = np.divmod(flat, n_points)
@@ -992,9 +1042,10 @@ class TestBoundedFilter:
         assert _assert_same_certificate(trace, witnesses).bounded_summary.argmin_witness == 0
 
     @staticmethod
-    def _assert_zero_minimum_takes_the_sign_of_np_min(m, n_points):
-        # witness 1 meets its row's minimum 0 twice, once as -0.0 and once as
-        # +0.0; np.min's choice between them depends on its order
+    def _assert_zero_minimum_is_the_first_lowest_entry(m, n_points):
+        # witness 1 meets its row's minimum 0 twice, as -0.0 at row a and as
+        # +0.0 at row b: the summary reports the first of them, with its own
+        # sign (np.min's choice between them depends on numpy's SIMD loops)
         rng = np.random.default_rng(n_points)
         xs = rng.standard_normal((n_points, m))
         ts = np.full(n_points, -1e3)
@@ -1009,17 +1060,40 @@ class TestBoundedFilter:
             wx = np.array([xs_ab[a] + 1.0, xs_ab[a]])
             wt = np.array([1e4, -0.0])
             got = _assert_filter_matches_full_matrix(wx, wt, xs_ab, ts_ab, TolerancePolicy())
-            assert got[1].min_residual == 0.0 and got[1].argmin_witness == 1
+            want = (2 * n_points, -0.0 if a < b else 0.0, 1, min(a, b))
+            assert _bits(tuple(got[1])) == _bits(want), (a, b)
             _assert_skipped_pairs_above_anchor_minimum(wx, wt, xs_ab, ts_ab)
 
     @pytest.mark.parametrize("n_points", [9, 17, 100])
-    def test_zero_minimum_takes_the_sign_of_np_min(self, n_points):
-        self._assert_zero_minimum_takes_the_sign_of_np_min(8, n_points)
+    def test_zero_minimum_is_the_first_lowest_entry(self, n_points):
+        self._assert_zero_minimum_is_the_first_lowest_entry(8, n_points)
 
     @pytest.mark.parametrize("n_points", [512, 1000])
     @pytest.mark.parametrize("m", [1, 2, 7])
-    def test_zero_minimum_on_long_narrow_traces(self, m, n_points):
-        self._assert_zero_minimum_takes_the_sign_of_np_min(m, n_points)
+    def test_first_lowest_zero_on_long_narrow_traces(self, m, n_points):
+        self._assert_zero_minimum_is_the_first_lowest_entry(m, n_points)
+
+    def test_tie_certificates_have_the_same_bytes_on_numpy_baseline_loops(self):
+        # the second interpreter runs with every SIMD loop that numpy
+        # dispatches to on this CPU switched off (naming one the CPU lacks
+        # would warn at import)
+        from numpy._core import _multiarray_umath as umath
+
+        off = " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+        src = str(Path(certificate.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        dumps = []
+        for disabled in ("", off):
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            proc = subprocess.run([sys.executable, "-c", TIE_CERTIFICATES], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            dumps.append(proc.stdout)
+        assert dumps[0] == dumps[1]
+        for doc, (_, n_points, a, b) in zip(json.loads(dumps[0])["ties"], TIE_CASES):
+            bounded = doc["checks"]["bounded"]
+            assert (bounded["argmin_witness"], bounded["argmin_step"]) == (1, min(a, b))
+            assert math.copysign(1.0, bounded["min_residual"]) == (-1.0 if a < b else 1.0)
 
     def test_identical_witnesses_tie_to_the_lower_index(self):
         spec, x0 = _affine(12, seed=600)

@@ -705,8 +705,8 @@ def test_certify_fills_the_bounded_matrix_only_for_full(in_tmp, monkeypatch, cap
                "x0": x0.tolist(), "eps": 1e-9}
     (in_tmp / "p.json").write_text(json.dumps(problem))
     fills = []
-    fill = certificate._bounded_residuals
-    monkeypatch.setattr(certificate, "_bounded_residuals",
+    fill = certificate._witness_residuals
+    monkeypatch.setattr(certificate, "_witness_residuals",
                         lambda *args: fills.append(args) or fill(*args))
     for source in (["--problem", "p.json"], ["--builtin", "AFFINE_1D"],
                    ["--builtin", "KEPLER"], ["--builtin", "ROTATION_2D"]):
@@ -747,8 +747,8 @@ def test_certify_full_rows_on_long_narrow_traces(m, in_tmp, monkeypatch, capsys)
     trace = read_trace_csv("trace.csv", spec)
     assert trace.ts.size >= 512
     fills = []
-    fill = certificate._bounded_residuals
-    monkeypatch.setattr(certificate, "_bounded_residuals",
+    fill = certificate._witness_residuals
+    monkeypatch.setattr(certificate, "_witness_residuals",
                         lambda *args: fills.append(args) or fill(*args))
     docs = {}
     for name, extra in (("verify", []), ("full", ["--full"])):
