@@ -66,7 +66,13 @@ def _check_lambda(lam: float) -> float:
 
 
 class ContractionSpec(abc.ABC):
-    """A declared contraction f: R^m -> R^m with factor ``lam`` in (0, 1)."""
+    """A declared contraction f: R^m -> R^m with factor ``lam`` in (0, 1).
+
+    :meth:`_apply` defines the map's bits.  The engine's step
+    (:meth:`_stepper`, or :meth:`_scalar_map` at m = 1) writes exactly
+    them; :meth:`_apply_batch` is the verifier's independent recomputation,
+    checked against the trace within the tolerance, and need not.
+    """
 
     lam: float
     # Problem-file kind and (file key, constructor field) pairs; a class
@@ -97,21 +103,13 @@ class ContractionSpec(abc.ABC):
 
     @abc.abstractmethod
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate the map on each row of an (n, m) array."""
+        """Evaluate the map on each row of an (n, m) array, not necessarily
+        with the bits of :meth:`_apply`."""
 
     def _scalar_map(self):
         """On a map with m = 1, a float -> float function that gives exactly
         the bits of :meth:`_apply`, for the engine's float loop; None when
         the family has none.  Not called for m >= 2."""
-        return None
-
-    def _fast_scalar_map(self):
-        """On a map with a scalar map, a cheaper float -> float function
-        whose bits are not known to be those of :meth:`_apply`; None when
-        the scalar map is the cheap one.  The engine steps with it and then
-        proves its steps in one :meth:`_apply_batch` pass, so a family
-        offers one only where that pass gives each row the bits of
-        :meth:`_apply`."""
         return None
 
     @abc.abstractmethod
@@ -355,24 +353,17 @@ class KeplerScalar(ContractionSpec):
         return 1
 
     def _apply(self, x):
-        return self.mean_anomaly + self.e * np.sin(x)
+        # math.sin, the C library's, defines the map: it costs about a third
+        # of np.sin on a float.  It raises at inf, which no caller passes: x
+        # is validated finite, and later iterates lie within |M| + |e|.
+        return np.array([self.mean_anomaly + self.e * math.sin(x[0])])
 
     def _apply_batch(self, xs):
+        # np.sin need not round as math.sin does: the verifier's batch
+        # recomputation is checked within its tolerance, as a gemm is
         return self.mean_anomaly + self.e * np.sin(xs)
 
     def _scalar_map(self):
-        # numpy's sin, as in _apply: math.sin is the C library's, which
-        # need not round the same way, and it raises at inf
-        mean_anomaly, e, sin = self.mean_anomaly, self.e, np.sin
-        return lambda x: mean_anomaly + e * float(sin(x))
-
-    def _fast_scalar_map(self):
-        # math.sin costs about a third of np.sin on a float.  The engine's
-        # proof of its steps recomputes them with _apply_batch, one np.sin
-        # over an array: it assumes that numpy gives an element the same sin
-        # bits alone and inside a contiguous array, whichever loop (SIMD or
-        # not) it dispatches to.  x0 is finite and later iterates lie within
-        # |M| + |e|, so math.sin never meets inf.
         mean_anomaly, e, sin = self.mean_anomaly, self.e, math.sin
         return lambda x: mean_anomaly + e * sin(x)
 

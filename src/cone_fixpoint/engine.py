@@ -118,8 +118,10 @@ class IterationTrace:
     ``xs`` has shape (N+1, m) and ``ts`` shape (N+1,); row n holds the n-th
     iterate.  ``d`` is the first step norm ||x^1 - x^0||, computed once and
     frozen.  ``stop_reason`` is None only for traces reloaded from disk.
-    Construction refuses non-finite values in ``xs`` or ``ts``: this is the
-    one finiteness check of every trace, whether run or reloaded.
+    Construction refuses non-finite values in ``xs`` or ``ts``, whether the
+    trace is run or reloaded; ``read_trace_csv`` refuses them in the file
+    first, and ``verify_certificate`` again, in case the arrays were
+    written to after construction.
     """
 
     spec: ContractionSpec
@@ -241,13 +243,13 @@ def first_step(spec: ContractionSpec, x0: np.ndarray) -> float:
     return norm(evaluate(spec, x0) - x0)
 
 
-def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, first: int, last: int,
+def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, last: int,
              lam: float, d: float, stop_factor: float | None, eps: float | None,
              reason: StopReason):
-    """Steps ``first``..``last`` of the pair iteration, from row first - 1 of
-    the buffers ``xs`` and ``ts``, which double (up to last + 1 rows) when
-    full.  ``step`` takes x^n to x^{n+1}: on floats it returns it, on arrays
-    it writes it into row n+1, and x^n is a view of row n.  Without a
+    """Steps 1..``last`` of the pair iteration, from row 0 of the buffers
+    ``xs`` and ``ts``, which double (up to last + 1 rows) when full.
+    ``step`` takes x^n to x^{n+1}: on floats it returns it, on arrays it
+    writes it into row n+1, and x^n is a view of row n.  Without a
     ``stop_factor`` every step is taken, untested.  With one the steps go in
     blocks of :data:`STOP_BLOCK`, and after each block one :func:`row_norms`
     call takes the a-posteriori test ``stop_factor * norm(x^n - x^{n-1}) <=
@@ -255,9 +257,9 @@ def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, first: int, 
     or raises if that step's norm is non-finite, and the steps computed past
     it are dropped; a run no step stops ends flagged MAX_ITERATIONS.
     Returns the buffers, the last step kept and the stop reason."""
-    x = float(xs[first - 1]) if on_floats else xs[first - 1]
-    t = float(ts[first - 1])
-    start = first
+    x = float(xs[0]) if on_floats else xs[0]
+    t = float(ts[0])
+    start = 1
     while start <= last:
         end = last if stop_factor is None else min(start + STOP_BLOCK - 1, last)
         while end >= xs.shape[0]:
@@ -283,16 +285,6 @@ def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, first: int, 
     return xs, ts, last, reason if stop_factor is None else StopReason.MAX_ITERATIONS
 
 
-def _first_unproven_step(spec: ContractionSpec, xs: np.ndarray) -> int:
-    """The first step n whose float iterate ``xs[n]`` does not have the bits
-    of the family's batch map at ``xs[n - 1]``, or 0 when every step has
-    them.  Bit patterns are compared, not values, so that a zero of the
-    wrong sign counts as a difference."""
-    exact = spec._apply_batch(xs[:-1, None]).ravel()
-    differs = exact.view(np.int64) != xs[1:].view(np.int64)
-    return int(np.argmax(differs)) + 1 if differs.any() else 0
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     """Run the augmented iteration from x0 under the given stopping rule.
@@ -302,18 +294,14 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     step norm d is computed once and then frozen into the scalar recurrence;
     a d whose limit t* = d / (1 - lam) overflows is refused before any step.
     The width only picks the map, bound once per run, that the one stepping
-    loop calls.  At m = 1 it iterates on Python floats through
-    the family's scalar map, whose bits are those of the array map, or
-    through a cheaper float map (``KeplerScalar``: ``math.sin`` for
-    ``np.sin``) whose kept steps one batched pass then compares bit for bit;
-    from the first step that differs the loop runs again on the scalar map,
-    stop decisions included.  Otherwise (m >= 2, or a spec without a scalar
-    map) it iterates on float64 arrays through ``spec._stepper()``, which
-    writes f(x^n) straight into row n+1 of the trace buffer with the bits of
-    ``spec._apply``.  The rule only sets where the loop ends: when the step
-    count N is known in advance (``APriori``, ``FixedCount``, or N = 0 at an
-    exact fixed point) the (N+1)-row buffers are allocated once and no step
-    norm is computed.
+    loop calls.  At m = 1 it iterates on Python floats through the family's
+    scalar map, which has the arithmetic, and so the bits, of ``spec._apply``.
+    Otherwise (m >= 2, or a spec without a scalar map) it iterates on
+    float64 arrays through ``spec._stepper()``, which writes f(x^n) straight
+    into row n+1 of the trace buffer with the bits of ``spec._apply``.  The
+    rule only sets where the loop ends: when the step count N is known in
+    advance (``APriori``, ``FixedCount``, or N = 0 at an exact fixed point)
+    the (N+1)-row buffers are allocated once and no step norm is computed.
     ``APosteriori`` starts from smaller buffers that double when full and
     tests its steps in blocks of :data:`STOP_BLOCK`, one batched call per
     block with :func:`norm`'s bits, on floats and arrays alike: it stops
@@ -358,8 +346,8 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
         steps, reason = rule.max_iterations, StopReason.MAX_ITERATIONS
 
     lam = spec.lam
-    scalar_map = spec._scalar_map() if x0.size == 1 else None
-    on_floats = scalar_map is not None
+    step = spec._scalar_map() if x0.size == 1 else None
+    on_floats = step is not None
     if steps is None:
         last, rows = rule.max_iterations, min(INITIAL_ROWS, rule.max_iterations + 1)
         stop_factor, eps = lam / gap, rule.eps
@@ -371,20 +359,12 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     if on_floats:
         xs = np.empty(rows)
         xs[0] = x0[0]
-        fast_map = spec._fast_scalar_map()
-        step = fast_map or scalar_map
     else:
-        xs = np.empty((rows, x0.size))
+        xs, step = np.empty((rows, x0.size)), spec._stepper()
         xs[0] = x0
-        fast_map, step = None, spec._stepper()
     ts = np.empty(rows)
     ts[0] = 0.0
-    xs, ts, n, stop = _iterate(step, on_floats, xs, ts, 1, last, lam, d, stop_factor, eps, reason)
-    if fast_map is not None:
-        unproven = _first_unproven_step(spec, xs[: n + 1])
-        if unproven:
-            xs, ts, n, stop = _iterate(scalar_map, True, xs, ts, unproven, last,
-                                       lam, d, stop_factor, eps, reason)
+    xs, ts, n, stop = _iterate(step, on_floats, xs, ts, last, lam, d, stop_factor, eps, reason)
 
     return IterationTrace(
         spec=spec, x0=x0, d=d,

@@ -283,16 +283,21 @@ class TestVerifyCertificate:
                 verify_certificate(trace, [AugmentedPoint([0.0], 4.0)])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("row", [0, 1, 2])
     def test_overflowing_echo_fails_in_every_row(self, row):
-        # x^0 - x0, or x^1 - f(x^0), overflows: the echo is NaN and the
-        # trace fails, in the first row as in the others
+        # x^0 - x0, or x^n - f(x^{n-1}), overflows: the echo is NaN and the
+        # trace fails, in the first and the last row as in the others.  In
+        # the last row x* - w.x and f(x*) - x* overflow too, so the limit
+        # check and the fixed-point residual fail on a NaN as well
         xs = np.full((3, 1), -1.5e308)
         xs[row] = 1.5e308
         trace = IterationTrace(spec=Constant([-1.5e308], 0.5), x0=[-1.5e308], d=0.0, xs=xs,
                                ts=np.zeros(3), stop_reason=None)
         cert = _assert_same_certificate(trace, [AugmentedPoint([-1.5e308], 1.0)])
         assert not cert.passed and np.isnan(cert.consistency_x[row])
+        if row == 2:
+            assert np.isnan(cert.lower_bound_residuals).all()
+            assert np.isnan(cert.fixed_point_residual)
 
     def test_strict_policy_on_clean_integers(self):
         # constant map yields an exactly-representable trace
@@ -449,7 +454,7 @@ def _reference_verify(trace, witnesses=None, tol=None, *, omega_sample_count=32,
             )
 
     lower = np.array(
-        [(w.t - t_star) - norm(w.x - x_star) for w in witnesses]
+        [(w.t - t_star) - _reference_row_norms([w.x - x_star])[0] for w in witnesses]
     ) if witnesses else np.zeros(0)
     for i, w in enumerate(witnesses):
         if not (lower[i] >= -(stop_bound + tol.margin(w.t - t_star))):
@@ -457,7 +462,7 @@ def _reference_verify(trace, witnesses=None, tol=None, *, omega_sample_count=32,
                 (2, f"limit check failed for witness {i} (residual {lower[i]:.6e})")
             )
             break
-    fp_residual = norm(evaluate(spec, x_star) - x_star)
+    fp_residual = float(_reference_row_norms([evaluate(spec, x_star) - x_star])[0])
     fp_tolerance = lam**n_steps * d + tol.margin(norm(x_star))
     if not (fp_residual <= fp_tolerance):
         failures.append(

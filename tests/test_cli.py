@@ -491,6 +491,24 @@ class TestProblemFiles:
         assert "first_failure  monotone check failed at step 0" in proc.stdout
         assert proc.stderr == ""
 
+    def test_overflow_in_the_last_verified_row_fails(self, in_tmp):
+        # x^2 - f(x^1), x* - w.x and f(x*) - x* overflow: the last row fails
+        # the certificate as any other row does, not as a usage error
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.5,
+            "map": {"kind": "constant", "c": [-1.5e308]},
+            "x0": [-1.5e308],
+        })
+        (in_tmp / "trace.csv").write_text(
+            "n,x_0,t,step_norm,t_increment,mono_residual\n0,-1.5e308,0,0,0,0\n"
+            "1,-1.5e308,0,0,0,0\n2,1.5e308,0,0,0,0\n")
+        proc = run_cli("certify", "--problem", path, "--verify", "trace.csv", "--out", "c.json")
+        assert proc.returncode == 1
+        assert "verdict        fail" in proc.stdout
+        assert proc.stderr == ""
+        assert json.loads((in_tmp / "c.json").read_text())["verdict"] == "fail"
+
     def test_overflowing_canonical_t_is_named(self, in_tmp, capsys):
         # t* = 1.2e308 is finite, but the canonical witness's 2 t* overflows
         path = self.write_problem(in_tmp, {
