@@ -18,6 +18,7 @@ from cone_fixpoint import (
     KeplerScalar,
     NotAContractionError,
     ScaledRotation,
+    TolerancePolicy,
     empirical_lipschitz,
     evaluate,
     evaluate_batch,
@@ -109,6 +110,26 @@ class TestScalarMap:
         # a x = -0 and b = -0: the matmul's sum starts from +0, so f = +0
         spec = Affine(a=[[0.5]], b=[-0.0], lam=0.5)
         assert math.copysign(1.0, spec._scalar_map()(-0.0)) == 1.0
+
+
+class TestKeplerBatchMap:
+    def test_within_the_consistency_margin_of_apply(self):
+        # The verifier recomputes a Kepler trace with np.sin (_apply_batch),
+        # which need not round as math.sin does: its trace consistency check
+        # allows each point the default margin on the point's scale.
+        rng = np.random.default_rng(20140317)
+        xs = np.concatenate([
+            rng.uniform(-10.0, 10.0, 6_000),
+            rng.uniform(-1e6, 1e6, 2_000),
+            rng.choice([-1.0, 1.0], 2_000) * np.ldexp(rng.uniform(0.5, 1.0, 2_000),
+                                                     rng.integers(-1074, 1024, 2_000)),
+        ])
+        margin = TolerancePolicy.default().margin
+        for e, mean_anomaly in [(0.9, 1.0), (-0.9, -2.5), (2.0**-600, -0.0), (-0.5, 1e308)]:
+            spec = KeplerScalar(e=e, mean_anomaly=mean_anomaly, lam=0.95)
+            batch = evaluate_batch(spec, xs[:, None])[:, 0]
+            exact = np.array([evaluate(spec, [x])[0] for x in xs.tolist()])
+            assert np.all(np.abs(batch - exact) <= margin(exact)), spec
 
 
 def _edge_vectors(rng, m, count, finite=False):

@@ -448,11 +448,19 @@ class _ArrayAffine(Affine):
 # One-dimensional maps of every family that has a scalar map, and one that
 # the engine iterates on arrays.  The affine map with a = -0.5, b = -0
 # halves x to 2^-1074 and then to a zero product, where the matmul's sum,
-# started from +0, gives +0 rather than -0.
+# started from +0, gives +0 rather than -0.  The Kepler maps take math.sin
+# of a huge first point, of iterates near 1e5 at every step, and of signed
+# zeros: with M = -0 and e < 0 the iterates halve to +0 at step 4 and then
+# alternate -0, +0, a step of norm 0 that the a-posteriori rule stops at.
 SIGNED_ZERO_AFFINE = Affine(a=[[-0.5]], b=[-0.0], lam=0.5)
 SCALAR_PROBLEMS = {
     "kepler": (KeplerScalar(e=0.9, mean_anomaly=1.0, lam=0.95), [0.0]),
     "kepler-negative-e": (KeplerScalar(e=-0.9, mean_anomaly=-2.5, lam=0.95), [3.0]),
+    "kepler-huge-x0": (KeplerScalar(e=0.9, mean_anomaly=1.0, lam=0.9), [1e300]),
+    "kepler-large-mean-anomaly": (KeplerScalar(e=-0.6, mean_anomaly=-1e5, lam=0.6), [2.5]),
+    "kepler-e-at-minus-lambda": (KeplerScalar(e=-0.95, mean_anomaly=3.0, lam=0.95), [-1e5]),
+    "kepler-subnormal-e": (KeplerScalar(e=5e-324, mean_anomaly=-2.0, lam=0.5), [3.0]),
+    "kepler-signed-zeros": (KeplerScalar(e=-0.5, mean_anomaly=-0.0, lam=0.9), [4e-323]),
     "constant": (Constant(c=[-1.5], lam=0.4), [2.0]),
     "constant-at-c": (Constant(c=[-0.0], lam=0.4), [0.0]),
     "affine-signed-zero": (SIGNED_ZERO_AFFINE, [1.0]),
@@ -460,8 +468,10 @@ SCALAR_PROBLEMS = {
     "affine-negative-zero-x0": (SIGNED_ZERO_AFFINE, [-0.0]),
     "affine-on-arrays": (_ArrayAffine(a=[[-0.5]], b=[-0.0], lam=0.5), [1.0]),
 }
-STEPPING_SCALAR_PROBLEMS = ["kepler", "kepler-negative-e", "constant", "affine-signed-zero",
-                            "affine-on-arrays"]
+STEPPING_SCALAR_PROBLEMS = ["kepler", "kepler-negative-e", "kepler-huge-x0",
+                            "kepler-large-mean-anomaly", "kepler-e-at-minus-lambda",
+                            "kepler-subnormal-e", "kepler-signed-zeros", "constant",
+                            "affine-signed-zero", "affine-on-arrays"]
 
 
 def _assert_same_outcome(spec, x0, rule):
@@ -701,3 +711,13 @@ class TestKeplerMapIsMathSin:
             trace = run(spec, [x0], FixedCount(5000))
             assert trace.n_steps == 5000
             assert trace.xs.tobytes() == np.array(xs).tobytes(), spec
+
+    def test_signed_zeros(self):
+        # sin(-0) = -0, so the map sends +0 to -0 and -0 to +0
+        spec, x0 = SCALAR_PROBLEMS["kepler-signed-zeros"]
+        xs = run(spec, x0, FixedCount(10)).xs[:, 0]
+        assert [math.copysign(1.0, x) for x in xs[4:]] == [1.0, -1.0] * 3 + [1.0]
+        assert np.all(xs[4:] == 0.0)
+        trace = run(spec, x0, APosteriori(5e-324))
+        assert trace.n_steps == 5 and trace.stop_reason is StopReason.A_POSTERIORI
+        assert trace.xs.tobytes() == xs[:6, None].tobytes()
