@@ -4,9 +4,9 @@ Only closed families are supported, so the declared factor of every spec
 can be checked against the family's true factor rather than taken on
 faith.  Each family class declares everything else about itself: its
 problem-file ``kind``, its ``file_keys``, a ``reference_fixed_point``
-computed without Picard iteration, the step the engine binds once per run
-and, for m = 1, the float map it iterates; :data:`FAMILIES` maps kinds to
-classes.
+computed without Picard iteration, and ``_step``, the map's one float
+definition, which the engine binds once per run; :data:`FAMILIES` maps
+kinds to classes.
 The families:
 
 * ``Constant``        f(x) = c                   (true factor 0)
@@ -68,10 +68,10 @@ def _check_lambda(lam: float) -> float:
 class ContractionSpec(abc.ABC):
     """A declared contraction f: R^m -> R^m with factor ``lam`` in (0, 1).
 
-    :meth:`_apply` defines the map's bits.  The engine's step
-    (:meth:`_stepper`, or :meth:`_scalar_map` at m = 1) writes exactly
-    them; :meth:`_apply_batch` is the verifier's independent recomputation,
-    checked against the trace within the tolerance, and need not.
+    :meth:`_step` defines the map's bits: the engine iterates it, and
+    :meth:`_apply` runs it on one point.  :meth:`_apply_batch` is the
+    verifier's independent recomputation, checked against the trace within
+    the tolerance, and need not give them.
     """
 
     lam: float
@@ -86,31 +86,25 @@ class ContractionSpec(abc.ABC):
         """Dimension m of the space the map acts on."""
 
     @abc.abstractmethod
+    def _step(self):
+        """The map's one float definition, which the engine binds once per
+        run.  At m = 1 a float -> float function; from m = 2 on a function
+        ``step(x, out)`` that writes f(x) into the float64 array ``out``,
+        which does not overlap ``x``."""
+
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the map on a validated point."""
-
-    def _stepper(self):
-        """A function ``step(x, out)`` that writes :meth:`_apply` of a
-        validated point into the float64 array ``out``, bit for bit: the
-        engine binds it once per run and steps its array loop with it
-        straight into the trace buffer.  ``out`` does not overlap ``x``."""
-        apply = self._apply
-
-        def step(x, out):
-            out[...] = apply(x)
-
-        return step
+        """Evaluate the map on a validated point: :meth:`_step` on it."""
+        step = self._step()
+        if x.size == 1:
+            return np.array([step(float(x[0]))])
+        out = np.empty(x.size)
+        step(x, out)
+        return out
 
     @abc.abstractmethod
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the map on each row of an (n, m) array, not necessarily
         with the bits of :meth:`_apply`."""
-
-    def _scalar_map(self):
-        """On a map with m = 1, a float -> float function that gives exactly
-        the bits of :meth:`_apply`, for the engine's float loop; None when
-        the family has none.  Not called for m >= 2."""
-        return None
 
     @abc.abstractmethod
     def true_factor(self) -> float:
@@ -145,15 +139,19 @@ class Constant(ContractionSpec):
     def dimension(self) -> int:
         return self.c.size
 
-    def _apply(self, x):
-        return self.c.copy()
+    def _step(self):
+        if self.c.size == 1:
+            c0 = float(self.c[0])
+            return lambda x: c0
+        c = self.c
+
+        def step(x, out):
+            out[...] = c
+
+        return step
 
     def _apply_batch(self, xs):
         return np.broadcast_to(self.c, xs.shape).copy()
-
-    def _scalar_map(self):
-        c0 = float(self.c[0])
-        return lambda x: c0
 
     def true_factor(self) -> float:
         return 0.0
@@ -166,7 +164,7 @@ def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(b.size) - a, b)
 
 
-def _matvec_plus_stepper(a: np.ndarray, b: np.ndarray):
+def _matvec_plus_step(a: np.ndarray, b: np.ndarray):
     """A ``step(x, out)`` that writes ``a @ x + b`` without a temporary, bit
     for bit from m = 2 on: ``a.dot`` into ``out`` calls the same gemv as the
     matmul (at 1x1 it takes numpy's scalar product instead, whose signed
@@ -216,22 +214,16 @@ class Affine(ContractionSpec):
     def dimension(self) -> int:
         return self.b.size
 
-    def _apply(self, x):
-        return self.a @ x + self.b
-
-    def _stepper(self):
+    def _step(self):
         if self.b.size > 1:
-            return _matvec_plus_stepper(self.a, self.b)
-        return super()._stepper()
-
-    def _apply_batch(self, xs):
-        return xs @ self.a.T + self.b
-
-    def _scalar_map(self):
+            return _matvec_plus_step(self.a, self.b)
         # The product's sum starts from +0, as in the matmul: a x = -0 then
         # gives +0, and +0 + b = +0 where -0 + b = -0 at b = -0.
         a0, b0 = float(self.a[0, 0]), float(self.b[0])
         return lambda x: (0.0 + a0 * x) + b0
+
+    def _apply_batch(self, xs):
+        return xs @ self.a.T + self.b
 
     def true_factor(self) -> float:
         return spectral_norm(self.a)
@@ -284,11 +276,8 @@ class ScaledRotation(ContractionSpec):
         """scale * R(theta), built once at construction (read-only)."""
         return self._matrix
 
-    def _apply(self, x):
-        return self._matrix @ x + self.b
-
-    def _stepper(self):
-        return _matvec_plus_stepper(self._matrix, self.b)
+    def _step(self):
+        return _matvec_plus_step(self._matrix, self.b)
 
     def _apply_batch(self, xs):
         return xs @ self._matrix.T + self.b
@@ -352,20 +341,17 @@ class KeplerScalar(ContractionSpec):
     def dimension(self) -> int:
         return 1
 
-    def _apply(self, x):
+    def _step(self):
         # math.sin, the C library's, defines the map: it costs about a third
         # of np.sin on a float.  It raises at inf, which no caller passes: x
         # is validated finite, and later iterates lie within |M| + |e|.
-        return np.array([self.mean_anomaly + self.e * math.sin(x[0])])
+        mean_anomaly, e, sin = self.mean_anomaly, self.e, math.sin
+        return lambda x: mean_anomaly + e * sin(x)
 
     def _apply_batch(self, xs):
         # np.sin need not round as math.sin does: the verifier's batch
         # recomputation is checked within its tolerance, as a gemm is
         return self.mean_anomaly + self.e * np.sin(xs)
-
-    def _scalar_map(self):
-        mean_anomaly, e, sin = self.mean_anomaly, self.e, math.sin
-        return lambda x: mean_anomaly + e * sin(x)
 
     def true_factor(self) -> float:
         return abs(self.e)
@@ -423,7 +409,7 @@ def evaluate(spec: ContractionSpec, x) -> np.ndarray:
         raise DimensionMismatchError(
             f"point has dimension {x.size}, spec expects {spec.dimension}"
         )
-    y = np.asarray(spec._apply(x), dtype=float)
+    y = spec._apply(x)
     y.setflags(write=False)
     return y
 

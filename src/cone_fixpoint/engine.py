@@ -293,15 +293,13 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     checked for finiteness as a whole by :class:`IterationTrace`.  The first
     step norm d is computed once and then frozen into the scalar recurrence;
     a d whose limit t* = d / (1 - lam) overflows is refused before any step.
-    The width only picks the map, bound once per run, that the one stepping
-    loop calls.  At m = 1 it iterates on Python floats through the family's
-    scalar map, which has the arithmetic, and so the bits, of ``spec._apply``.
-    Otherwise (m >= 2, or a spec without a scalar map) it iterates on
-    float64 arrays through ``spec._stepper()``, which writes f(x^n) straight
-    into row n+1 of the trace buffer with the bits of ``spec._apply``.  The
-    rule only sets where the loop ends: when the step count N is known in
-    advance (``APriori``, ``FixedCount``, or N = 0 at an exact fixed point)
-    the (N+1)-row buffers are allocated once and no step norm is computed.
+    The loop calls the family's ``_step``, the map's one float definition,
+    bound once per run.  At m = 1 it iterates on Python floats; from m = 2
+    on it iterates on float64 arrays, and the step writes f(x^n) straight
+    into row n+1 of the trace buffer.  The rule only sets where the loop
+    ends: when the step count N is known in advance (``APriori``,
+    ``FixedCount``, or N = 0 at an exact fixed point) the (N+1)-row buffers
+    are allocated once and no step norm is computed.
     ``APosteriori`` starts from smaller buffers that double when full and
     tests its steps in blocks of :data:`STOP_BLOCK`, one batched call per
     block with :func:`norm`'s bits, on floats and arrays alike: it stops
@@ -345,9 +343,7 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     elif steps is not None and steps > rule.max_iterations:
         steps, reason = rule.max_iterations, StopReason.MAX_ITERATIONS
 
-    lam = spec.lam
-    step = spec._scalar_map() if x0.size == 1 else None
-    on_floats = step is not None
+    lam, step, on_floats = spec.lam, spec._step(), x0.size == 1
     if steps is None:
         last, rows = rule.max_iterations, min(INITIAL_ROWS, rule.max_iterations + 1)
         stop_factor, eps = lam / gap, rule.eps
@@ -360,7 +356,7 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
         xs = np.empty(rows)
         xs[0] = x0[0]
     else:
-        xs, step = np.empty((rows, x0.size)), spec._stepper()
+        xs = np.empty((rows, x0.size))
         xs[0] = x0
     ts = np.empty(rows)
     ts[0] = 0.0

@@ -94,22 +94,32 @@ SCALAR_SPECS = {
 }
 
 
+def _definition(spec, x):
+    """The map at the array x as its family defines it, written out."""
+    if isinstance(spec, Constant):
+        return spec.c
+    if isinstance(spec, KeplerScalar):
+        return np.array([spec.mean_anomaly + spec.e * math.sin(x[0])])
+    return (spec.matrix if isinstance(spec, ScaledRotation) else spec.a) @ x + spec.b
+
+
 class TestScalarMap:
     @pytest.mark.parametrize("kind", list(SCALAR_SPECS))
     def test_same_bits_as_apply(self, kind):
-        # The engine's float loop must write the trace bits of the array map:
-        # the sign of a zero, an overflow to inf and a NaN included.
+        # The engine's float loop must write the bits of the map's written-out
+        # definition (the matmul for an affine map): the sign of a zero, an
+        # overflow to inf and a NaN included.
         with np.errstate(over="ignore", invalid="ignore"):
             for spec in SCALAR_SPECS[kind]:
-                scalar_map = spec._scalar_map()
+                step = spec._step()
                 for x in FINITE_EDGE_INPUTS if kind == "kepler" else EDGE_INPUTS:
-                    expected = spec._apply(np.array([x]))
-                    assert np.float64(scalar_map(x)).tobytes() == expected.tobytes(), (spec, x)
+                    expected = _definition(spec, np.array([x]))
+                    assert np.float64(step(x)).tobytes() == expected.tobytes(), (spec, x)
 
     def test_zero_product_takes_the_sign_of_the_sum(self):
         # a x = -0 and b = -0: the matmul's sum starts from +0, so f = +0
         spec = Affine(a=[[0.5]], b=[-0.0], lam=0.5)
-        assert math.copysign(1.0, spec._scalar_map()(-0.0)) == 1.0
+        assert math.copysign(1.0, spec._step()(-0.0)) == 1.0
 
 
 class TestKeplerBatchMap:
@@ -132,10 +142,9 @@ class TestKeplerBatchMap:
             assert np.all(np.abs(batch - exact) <= margin(exact)), spec
 
 
-def _edge_vectors(rng, m, count, finite=False):
-    """Points of m coordinates drawn from EDGE_INPUTS (only the finite ones
-    if ``finite``) and ordinary values."""
-    pool = np.array((FINITE_EDGE_INPUTS if finite else EDGE_INPUTS) + [1.25, -7.5, 1e-3])
+def _edge_vectors(rng, m, count):
+    """Points of m coordinates drawn from EDGE_INPUTS and ordinary values."""
+    pool = np.array(EDGE_INPUTS + [1.25, -7.5, 1e-3])
     return [rng.choice(pool, m) for _ in range(count)]
 
 
@@ -146,8 +155,6 @@ def _stepper_specs(m, rng):
     specs = [Affine(a=rng.choice(coefficients, (m, m)), b=rng.choice(coefficients, m), lam=0.95)
              for _ in range(4 if m > 50 else 12)]
     specs += [Constant(c=rng.choice(coefficients, m), lam=0.5) for _ in range(4)]
-    if m == 1:
-        specs += SCALAR_SPECS["kepler"][::7]
     if m == 2:
         specs += [ScaledRotation(theta=theta, scale=scale, b=rng.choice(coefficients, 2), lam=0.95)
                   for theta in (0.0, 1.234, -math.pi) for scale in (0.9, -0.9, -0.0, 2.0**-600)]
@@ -155,30 +162,27 @@ def _stepper_specs(m, rng):
 
 
 class TestStepper:
-    @pytest.mark.parametrize("m", [1, 2, 3, 8, 300])
+    @pytest.mark.parametrize("m", [2, 3, 8, 300])
     def test_same_bits_as_apply(self, m):
         # The engine's array loop writes f(x^n) into row n+1 of its buffer,
         # x^n being row n, with one step bound per run: the bits must be
-        # those of _apply, the sign of a zero, an overflow to inf and a NaN
-        # included, whatever the row held.
+        # those of the map's written-out definition, the sign of a zero, an
+        # overflow to inf and a NaN included, whatever the row held.
         rng = np.random.default_rng(m)
         with np.errstate(over="ignore", invalid="ignore"):
             for spec in _stepper_specs(m, rng):
-                step = spec._stepper()
-                finite = isinstance(spec, KeplerScalar)
-                for x in _edge_vectors(rng, m, 3 if m > 50 else 20, finite):
+                step = spec._step()
+                for x in _edge_vectors(rng, m, 3 if m > 50 else 20):
                     rows = np.full((2, m), np.nan)
                     rows[0] = x
                     step(rows[0], rows[1])
-                    assert rows[1].tobytes() == np.asarray(spec._apply(x)).tobytes(), (spec, x)
+                    assert rows[1].tobytes() == _definition(spec, x).tobytes(), (spec, x)
                     assert rows[0].tobytes() == x.tobytes()
 
     def test_one_by_one_affine_keeps_the_matmul_zero(self):
         # np.dot at 1x1 would give -0 where the matmul's sum gives +0
         spec = Affine(a=[[-0.5]], b=[-0.0], lam=0.5)
-        out = np.empty(1)
-        spec._stepper()(np.array([5e-324]), out)
-        assert out.tobytes() == np.array([0.0]).tobytes()
+        assert np.float64(spec._step()(5e-324)).tobytes() == np.array([0.0]).tobytes()
 
 
 class TestSpecConstruction:
@@ -315,8 +319,8 @@ class TestValidateContraction:
             lam = 0.5
             dimension = 1
 
-            def _apply(self, x):
-                return 0.5 * x
+            def _step(self):
+                return lambda x: 0.5 * x
 
             def _apply_batch(self, xs):
                 return 0.5 * xs

@@ -50,8 +50,8 @@ class _Halving(ContractionSpec):
     lam = 0.5
     dimension = 1
 
-    def _apply(self, x):
-        return 0.5 * x
+    def _step(self):
+        return lambda x: 0.5 * x
 
     def _apply_batch(self, xs):
         return 0.5 * xs
