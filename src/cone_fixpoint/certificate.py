@@ -385,6 +385,22 @@ def _bounded_check(wx, wt, xs, ts, steps, tol):
             lambda: _witness_residuals(wx, wt, xs, ts))
 
 
+# An honest row n + 1 holds the engine's fl(f(x^n)); the verifier's batch
+# recomputation z is another evaluation, and each is within rho =
+# spec._rounding_bound(x^n) of f(x^n), so ||x^{n+1} - z|| <= 2 rho.  The
+# echo row_norms(fl(x^{n+1} - z)) keeps its square within a factor
+# 1 + gamma_{m+9} of that distance's, plus (m + 1) eta where a difference
+# or the scale underflows (the derivation above the row-block filter), so
+# it is at most 2 rho (1 + (m + 8) u) + 2 (m + 1) eta, u = 2^-53 and eta =
+# 2^-1022, after this bound's own roundings.
+def _x_echo_allowance(spec: ContractionSpec, xs: np.ndarray) -> np.ndarray:
+    """The x echo allowed to the row after each row of ``xs``: at most the
+    echo of an honest trace, by the derivation above."""
+    m = spec.dimension
+    rho = spec._rounding_bound(xs)
+    return 2.0 * rho * (1.0 + (m + 8) * 2.0**-53) + 2 * (m + 1) * 2.0**-1022
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def verify_certificate(
     trace: IterationTrace,
@@ -413,6 +429,12 @@ def verify_certificate(
     decide or that may hold its minimum; the filter bounds how far a block's
     points lie from its last by the step norms of the monotone check.
     ``witness_residuals`` are then filled on first read, on every trace.
+
+    The consistency check allows row 0's x echo nothing and each later
+    row's the map's rounding bound (:func:`_x_echo_allowance`): an honest
+    trace keeps within it, a drifted one of a few rounding bounds does not.
+    ``tol`` does not widen the x echo; it sets the margins of the other
+    checks and of the t echo.
     """
     if tol is None:
         tol = TolerancePolicy.default()
@@ -459,9 +481,8 @@ def verify_certificate(
     i = _first_excess(-lower, stop_bound + tol.margin(wt - t_star))
     if i is not None:
         failures.append(f"limit check failed for witness {i} (residual {lower[i]:.6e})")
-    x_norms = row_norms(xs)
     fp_residual = float(row_norms((evaluate(spec, x_star) - x_star)[None])[0])
-    fp_tolerance = lam**n_steps * d + tol.margin(float(x_norms[-1]))
+    fp_tolerance = lam**n_steps * d + tol.margin(float(row_norms(x_star[None])[0]))
     if _first_excess(fp_residual, fp_tolerance) is not None:
         failures.append(f"fixed-point residual {fp_residual:.6e} exceeds {fp_tolerance:.6e}")
 
@@ -469,7 +490,8 @@ def verify_certificate(
     # Row 0 echoes x^0 - x0 and t^0 - 0.0, which is t^0 itself, -0.0 too.
     consistency_x = row_norms(xs - np.vstack((x0, evaluate_batch(spec, xs[:-1]))))
     consistency_t = np.abs(ts - np.concatenate(([0.0], lam * ts[:-1] + d)))
-    n = _first_excess((consistency_x, consistency_t), (tol.margin(x_norms), tol.margin(ts)))
+    x_allowed = np.concatenate(([0.0], _x_echo_allowance(spec, xs[:-1])))
+    n = _first_excess((consistency_x, consistency_t), (x_allowed, tol.margin(ts)))
     if n is not None:
         failures.append(f"trace consistency failed at point {n} "
                         f"(x echo {consistency_x[n]:.6e}, t echo {consistency_t[n]:.6e})")

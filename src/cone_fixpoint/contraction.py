@@ -2,11 +2,13 @@
 
 Only closed families are supported, so the declared factor of every spec
 can be checked against the family's true factor rather than taken on
-faith.  Each family class declares everything else about itself: its
-problem-file ``kind``, its ``file_keys``, a ``reference_fixed_point``
-computed without Picard iteration, and ``_step``, the map's one float
-definition, which the engine binds once per run; :data:`FAMILIES` maps
-kinds to classes.
+faith.  Each family class declares its whole contract: its problem-file
+``kind`` and ``file_keys``; ``_step``, the map's one float definition,
+which the engine binds once per run; ``_apply_batch``, the verifier's
+batched recomputation; ``_rounding_bound``, a rigorous bound on an
+evaluation's rounding error; ``true_factor``; and a
+``reference_fixed_point`` computed without Picard iteration.
+:data:`FAMILIES` maps kinds to classes.
 The families:
 
 * ``Constant``        f(x) = c                   (true factor 0)
@@ -24,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cone import NON_FINITE_NORM, as_vector, norm
+from .cone import NON_FINITE_NORM, as_vector, norm, row_norms
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -57,6 +59,15 @@ SAMPLE_RADIUS = 10.0
 # Width at which the Kepler reference bisection stops.
 BISECTION_WIDTH = 1e-12
 
+# Assumed accuracy of the C library's sin (math.sin) and of np.sin on
+# doubles, in units in the last place of min(1, |x|), which is at least
+# |sin x|: |fl(sin x) - sin x| <= SIN_ULPS ulp(min(1, |x|)).  Both sources
+# state 1 ulp: the GNU C Library manual, "Errors in Math Functions" (sin,
+# x86_64), and numpy's accuracy test data for float64 sin
+# (numpy/_core/tests/data/umath-validation-set-sin.csv); the bound assumes
+# twice that, for libraries that count ulps otherwise.
+SIN_ULPS = 2
+
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
@@ -70,8 +81,8 @@ class ContractionSpec(abc.ABC):
 
     :meth:`_step` defines the map's bits: the engine iterates it, and
     :meth:`_apply` runs it on one point.  :meth:`_apply_batch` is the
-    verifier's independent recomputation, checked against the trace within
-    the tolerance, and need not give them.
+    verifier's independent recomputation and need not give them: the trace
+    is checked against it within twice :meth:`_rounding_bound`.
     """
 
     lam: float
@@ -105,6 +116,12 @@ class ContractionSpec(abc.ABC):
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate the map on each row of an (n, m) array, not necessarily
         with the bits of :meth:`_apply`."""
+
+    @abc.abstractmethod
+    def _rounding_bound(self, xs: np.ndarray) -> np.ndarray:
+        """A rigorous bound rho, rounded up, on ||fl(f(x)) - f(x)|| at each
+        row x of an (n, m) array, for fl(f(x)) as :meth:`_step` or
+        :meth:`_apply_batch` computes it."""
 
     @abc.abstractmethod
     def true_factor(self) -> float:
@@ -153,6 +170,9 @@ class Constant(ContractionSpec):
     def _apply_batch(self, xs):
         return np.broadcast_to(self.c, xs.shape).copy()
 
+    def _rounding_bound(self, xs):
+        return np.zeros(xs.shape[0])
+
     def true_factor(self) -> float:
         return 0.0
 
@@ -162,6 +182,38 @@ class Constant(ContractionSpec):
 
 def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(b.size) - a, b)
+
+
+# The rounding bound of f(x) = A x + b at a point x, for any evaluation that
+# sums the m products and b in some order, with or without a fused
+# multiply-add (a gemv, a row of a gemm, the matmul).  Write u = 2^-53,
+# eta = 2^-1022 (it also covers subnormal results flushed to zero),
+# gamma_k = k u / (1 - k u) and gamma = gamma_{m+9}, and take m <= 2^40.
+#   * Each component errs by at most gamma_{m+1} (|A| |x| + |b|)_i (Higham,
+#     Accuracy and Stability, sec. 3.5) plus 2 (m + 1) eta of underflow, so
+#     the error's norm is at most gamma_{m+1} (||A||_F ||x|| + ||b||) +
+#     2 (m + 1)^2 eta, by Cauchy-Schwarz on each row of |A| |x|.
+#   * A row_norms value N of at most m entries has ||v|| <= (1 + gamma)
+#     (N + (m + 1) eta) (see the row-block filter in certificate.py).  With
+#     X = row_norms(x), B = row_norms(b) and F = row_norms of the row norms
+#     of A, ||A||_F <= (1 + gamma)^2 (F + 2 (m + 1)^2 eta), so the error's
+#     norm is at most (m + 1) u (1 + (4.2 m + 30) u) ((F + 2 (m + 1)^2 eta)
+#     (X + (m + 1) eta) + B + (m + 1) eta) + 2 (m + 1)^2 eta.
+#   * rho below loses at most a factor (1 - u) in each of its nine
+#     roundings, which K's 1 + (5m + 48) u covers, and eta where a product
+#     underflows, which E = 3 (m + 1)^2 eta covers.
+# rho is inf where that bound overflows.  The Frobenius norm costs O(m) per
+# row, where |A| |x| costs a matrix product as large as the verifier's
+# batched recomputation; it is looser by at most sqrt(m).
+def _matvec_rounding_bound(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The rounding bound rho of x -> ``a @ x + b`` at each finite row of
+    ``xs`` (derivation above)."""
+    m = b.size
+    u, eta = 2.0**-53, 2.0**-1022
+    with np.errstate(over="ignore", invalid="ignore"):
+        frob, b_norm = row_norms(np.stack((row_norms(a), b)))
+        size = (frob + 2 * (m + 1) ** 2 * eta) * (row_norms(xs) + (m + 1) * eta) + (b_norm + (m + 1) * eta)
+        return size * ((m + 1) * u * (1.0 + (5 * m + 48) * u)) + 3 * (m + 1) ** 2 * eta
 
 
 def _matvec_plus_step(a: np.ndarray, b: np.ndarray):
@@ -225,6 +277,9 @@ class Affine(ContractionSpec):
     def _apply_batch(self, xs):
         return xs @ self.a.T + self.b
 
+    def _rounding_bound(self, xs):
+        return _matvec_rounding_bound(self.a, self.b, xs)
+
     def true_factor(self) -> float:
         return spectral_norm(self.a)
 
@@ -281,6 +336,9 @@ class ScaledRotation(ContractionSpec):
 
     def _apply_batch(self, xs):
         return xs @ self._matrix.T + self.b
+
+    def _rounding_bound(self, xs):
+        return _matvec_rounding_bound(self._matrix, self.b, xs)
 
     def true_factor(self) -> float:
         return abs(self.scale)
@@ -350,8 +408,20 @@ class KeplerScalar(ContractionSpec):
 
     def _apply_batch(self, xs):
         # np.sin need not round as math.sin does: the verifier's batch
-        # recomputation is checked within its tolerance, as a gemm is
+        # recomputation is checked within the rounding bound, as a gemm is
         return self.mean_anomaly + self.e * np.sin(xs)
+
+    def _rounding_bound(self, xs):
+        # fl(M + fl(e fl(sin x))), with S = min(1, |x|) >= |sin x|, u = 2^-53
+        # and eta = 2^-1022: sin errs by at most SIN_ULPS (2 u S + 2^-1074),
+        # the product and the sum by u of their size and eta each, so
+        # |fl(f(x)) - f(x)| <= u (|M| + (2 SIN_ULPS + 3) |e| S) + 4 eta.
+        # The five roundings below lose at most a factor (1 - u) each, which
+        # the 1 + 8u covers, and eta where the last product underflows.
+        u, eta = 2.0**-53, 2.0**-1022
+        s = np.minimum(1.0, np.abs(xs[:, 0]))
+        spread = (2 * SIN_ULPS + 3) * (abs(self.e) * s)
+        return (abs(self.mean_anomaly) + spread) * (u * (1.0 + 8 * u)) + 8 * eta
 
     def true_factor(self) -> float:
         return abs(self.e)

@@ -44,6 +44,7 @@ from cone_fixpoint import certificate
 from cone_fixpoint.certificate import BLOCK_ELEMENTS, ROW_BLOCK
 from cone_fixpoint.cone import NON_FINITE_NORM, PAIRWISE_SUM_MIN_COLUMNS, row_norms
 from test_acceptance import random_affine_instances
+from test_engine import SCALAR_PROBLEMS
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
 STRICT = TolerancePolicy.exact()
@@ -337,6 +338,88 @@ class TestTheorySoundness:
         assert all(p == q for p, q in zip(a.witnesses, b.witnesses))
 
 
+# The edge Kepler maps of the engine's scalar grids: a huge first point,
+# iterates near M = -1e5, e = -lambda, a subnormal e and signed zeros.
+EDGE_KEPLER = ["kepler-huge-x0", "kepler-large-mean-anomaly", "kepler-e-at-minus-lambda",
+               "kepler-subnormal-e", "kepler-signed-zeros"]
+
+
+def _assert_echoes_within_the_allowance(spec, x0, rule):
+    trace = run(spec, x0, rule)
+    cert = verify_certificate(trace)
+    assert cert.passed, cert.first_failure
+    assert cert.consistency_x[0] == 0.0
+    assert np.all(cert.consistency_x[1:] <= certificate._x_echo_allowance(spec, trace.xs[:-1]))
+
+
+class TestConsistencyAllowance:
+    @pytest.mark.parametrize("rule", [APriori(1e-8), APosteriori(1e-10)],
+                             ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("name", [p.name for p in builtin_catalog()])
+    def test_builtins_keep_within_it(self, name, rule):
+        p = builtin(name)
+        _assert_echoes_within_the_allowance(p.spec, p.x0, rule)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 50, 300])
+    def test_affine_maps_keep_within_it(self, m):
+        for seed in range(2 if m == 300 else 8):
+            spec, x0 = _affine(m, seed=700 + seed, lam=0.96)
+            _assert_echoes_within_the_allowance(spec, x0, APosteriori(1e-10))
+
+    @pytest.mark.parametrize("name", EDGE_KEPLER)
+    def test_edge_kepler_maps_keep_within_it(self, name):
+        spec, x0 = SCALAR_PROBLEMS[name]
+        for rule in (APosteriori(1e-10), FixedCount(200)):
+            _assert_echoes_within_the_allowance(spec, x0, rule)
+
+    @pytest.mark.parametrize("m", [2, 50])
+    def test_drift_of_three_rounding_bounds_fails_at_its_row(self, m):
+        # x^k moves by 3 rho(x^{k-1}) along its own rounding error, so its
+        # echo exceeds the 2 rho an honest row may take; the flat margin
+        # 1e-12 max(1, ||x||) would have let it pass
+        spec, x0 = _affine(m, seed=800 + m, lam=0.96)
+        trace = run(spec, x0, FixedCount(30))
+        assert verify_certificate(trace).passed
+        for k in (1, 9, 30):
+            xs = trace.xs.copy()
+            error = xs[k] - evaluate_batch(spec, xs[k - 1 : k])[0]
+            direction = error if error.any() else np.ones(m)
+            rho = spec._rounding_bound(xs[k - 1 : k])[0]
+            xs[k] += 3.0 * rho * direction / norm(direction)
+            cert = verify_certificate(_rebuild(trace, xs=xs))
+            assert cert.first_failure.startswith(f"trace consistency failed at point {k} "), k
+
+    @pytest.mark.parametrize("m", [1, 2, 50])
+    def test_last_row_within_twice_the_rounding_bound_passes(self, m):
+        # the engine and the verifier may each err by rho: a last row 1.5 rho
+        # from the verifier's recomputation is still consistent
+        spec, x0 = _affine(m, seed=800 + m, lam=0.96)
+        trace = run(spec, x0, FixedCount(30))
+        xs = trace.xs.copy()
+        rho = spec._rounding_bound(xs[-2:-1])[0]
+        xs[-1] = evaluate_batch(spec, xs[-2:-1])[0] + 1.5 * rho * np.ones(m) / math.sqrt(m)
+        cert = verify_certificate(_rebuild(trace, xs=xs))
+        assert cert.passed, cert.first_failure
+        assert cert.consistency_x[-1] > rho
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_overflowing_bound_is_infinite(self, m):
+        # near x* = 1.7e308 / 1.9 the bound's ||A||_F ||x|| + ||b|| overflows,
+        # though every iterate and difference is finite: rho is inf, not
+        # NaN, and the honest trace passes
+        spec = Affine(a=-0.9 * np.eye(m), b=np.full(m, 1.7e308), lam=0.95)
+        trace = run(spec, spec.reference_fixed_point() * (1.0 + 1e-12), FixedCount(20))
+        with np.errstate(over="ignore"):
+            assert np.isposinf(spec._rounding_bound(trace.xs)).all()
+        _assert_echoes_within_the_allowance(spec, trace.x0, FixedCount(20))
+
+    def test_start_row_is_allowed_nothing(self, affine_trace):
+        xs = affine_trace.xs.copy()
+        xs[0, 0] = 5e-324
+        cert = verify_certificate(_rebuild(affine_trace, xs=xs))
+        assert cert.first_failure.startswith("trace consistency failed at point 0 ")
+
+
 def _rebuild(trace, xs=None, ts=None):
     from cone_fixpoint import IterationTrace
 
@@ -476,7 +559,11 @@ def _reference_verify(trace, witnesses=None, tol=None, *, omega_sample_count=32,
     if n_steps:
         consistency_x[1:] = _reference_row_norms(xs[1:] - evaluate_batch(spec, xs[:-1]))
         consistency_t[1:] = np.abs(ts[1:] - (lam * ts[:-1] + d))
-    x_margin = tol.atol + tol.rtol * np.maximum(1.0, _reference_row_norms(xs))
+    # row 0 is allowed nothing, row n + 1 twice the rounding bound at x^n
+    m = spec.dimension
+    x_margin = np.zeros(n_points)
+    x_margin[1:] = (2.0 * spec._rounding_bound(xs[:-1]) * (1.0 + (m + 8) * 2.0**-53)
+                    + 2 * (m + 1) * 2.0**-1022)
     t_margin = tol.atol + tol.rtol * np.maximum(1.0, np.abs(ts))
     bad = np.nonzero(~((consistency_x <= x_margin) & (consistency_t <= t_margin)))[0]
     if bad.size:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -508,6 +509,31 @@ class TestProblemFiles:
         assert "verdict        fail" in proc.stdout
         assert proc.stderr == ""
         assert json.loads((in_tmp / "c.json").read_text())["verdict"] == "fail"
+
+    def test_drifted_trace_fails_at_point_1(self, in_tmp, capsys):
+        # x^{n+1} = fl(f(x^n)) - 0.9e-12 max(1, |f(x^n)|) under the honest t
+        # column: each step drifts by at most 1e-9, within the flat margin
+        # 1e-12 max(1, |x|), and x^N misses x* = 1000 by 9.1e-7, 91 times
+        # the stop bound; the x echo of point 1 already exceeds its allowance
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.999,
+            "map": {"kind": "affine", "A": [[0.999]], "b": [1.0]},
+            "x0": [0.0],
+        })
+        assert main(["solve", "--problem", path, "--out", "honest.csv"]) == 0
+        honest = read_trace_csv("honest.csv", Affine(a=[[0.999]], b=[1.0], lam=0.999), x0=[0.0])
+        xs = np.zeros_like(honest.xs)
+        for n in range(honest.n_steps):
+            fx = 0.999 * xs[n, 0] + 1.0
+            xs[n + 1, 0] = fx - 0.9e-12 * max(1.0, abs(fx))
+        write_trace_csv(dataclasses.replace(honest, xs=xs), "drifted.csv")
+        assert main(["certify", "--problem", path, "--verify", "honest.csv", "--out", "c.json"]) == 0
+        capsys.readouterr()
+        assert main(["certify", "--problem", path, "--verify", "drifted.csv", "--out", "c.json"]) == 1
+        out = capsys.readouterr().out
+        assert "verdict        fail" in out
+        assert "first_failure  trace consistency failed at point 1 " in out
 
     def test_overflowing_canonical_t_is_named(self, in_tmp, capsys):
         # t* = 1.2e308 is finite, but the canonical witness's 2 t* overflows

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_fixpoint import contraction
+from cone_fixpoint import certificate, contraction
 from cone_fixpoint.contraction import _cholesky_proves_norm_at_most
 from cone_fixpoint import (
     Affine,
@@ -18,7 +18,6 @@ from cone_fixpoint import (
     KeplerScalar,
     NotAContractionError,
     ScaledRotation,
-    TolerancePolicy,
     empirical_lipschitz,
     evaluate,
     evaluate_batch,
@@ -126,7 +125,8 @@ class TestKeplerBatchMap:
     def test_within_the_consistency_margin_of_apply(self):
         # The verifier recomputes a Kepler trace with np.sin (_apply_batch),
         # which need not round as math.sin does: its trace consistency check
-        # allows each point the default margin on the point's scale.
+        # allows each point twice the map's rounding bound at the point it
+        # was computed from.
         rng = np.random.default_rng(20140317)
         xs = np.concatenate([
             rng.uniform(-10.0, 10.0, 6_000),
@@ -134,12 +134,58 @@ class TestKeplerBatchMap:
             rng.choice([-1.0, 1.0], 2_000) * np.ldexp(rng.uniform(0.5, 1.0, 2_000),
                                                      rng.integers(-1074, 1024, 2_000)),
         ])
-        margin = TolerancePolicy.default().margin
         for e, mean_anomaly in [(0.9, 1.0), (-0.9, -2.5), (2.0**-600, -0.0), (-0.5, 1e308)]:
             spec = KeplerScalar(e=e, mean_anomaly=mean_anomaly, lam=0.95)
             batch = evaluate_batch(spec, xs[:, None])[:, 0]
             exact = np.array([evaluate(spec, [x])[0] for x in xs.tolist()])
-            assert np.all(np.abs(batch - exact) <= margin(exact)), spec
+            allowed = certificate._x_echo_allowance(spec, xs[:, None])
+            assert np.all(np.abs(batch - exact) <= allowed), spec
+
+
+def _exact(v):
+    return [Fraction(c) for c in np.asarray(v, dtype=float).ravel().tolist()]
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_matvec_bound_covers_the_exact_error(self, m):
+        # ||fl(A x + b) - (A x + b)|| in exact arithmetic, for the engine's
+        # step and the verifier's batch map, is at most rho, also where the
+        # products underflow or the entries are large
+        rng = np.random.default_rng(900 + m)
+        for a_scale, x_scale in [(1.0, 1.0), (2.0**-520, 2.0**-520), (1.0, 2.0**500)]:
+            specs = [Affine(a=a_scale * rng.standard_normal((m, m)),
+                            b=a_scale * x_scale * rng.standard_normal(m), lam=0.9)]
+            if m == 2:
+                specs.append(ScaledRotation(theta=float(rng.uniform(-3.0, 3.0)), scale=-0.7 * a_scale,
+                                            b=a_scale * x_scale * rng.standard_normal(2), lam=0.9))
+            xs = x_scale * rng.standard_normal((12, m))
+            for spec in specs:
+                a = spec.matrix if isinstance(spec, ScaledRotation) else spec.a
+                rho = spec._rounding_bound(xs)
+                for got in ([spec._apply(x) for x in xs], spec._apply_batch(xs)):
+                    for x, y, r in zip(xs, got, rho):
+                        exact = [sum((p * q for p, q in zip(_exact(row), _exact(x))), Fraction(0)) + c
+                                 for row, c in zip(a, _exact(spec.b))]
+                        error2 = sum((v - e) ** 2 for v, e in zip(_exact(y), exact))
+                        assert error2 <= Fraction(r) ** 2, (spec, x)
+
+    def test_constant_bound_is_zero(self):
+        assert Constant(c=[1.5, -2.0], lam=0.5)._rounding_bound(np.ones((3, 2))).tolist() == [0.0] * 3
+
+    def test_kepler_bound_covers_the_rounding_and_the_assumed_sin_error(self):
+        # rho covers the exact rounding of M + e s, for s the computed sine
+        # of math.sin and of np.sin, plus |e| SIN_ULPS ulps of min(1, |x|)
+        rng = np.random.default_rng(17)
+        xs = np.array(FINITE_EDGE_INPUTS + rng.uniform(-10.0, 10.0, 40).tolist())
+        for spec in SCALAR_SPECS["kepler"]:
+            rho = spec._rounding_bound(xs[:, None])
+            batch = spec._apply_batch(xs[:, None])[:, 0]
+            for x, y_batch, r in zip(xs.tolist(), batch.tolist(), rho.tolist()):
+                sin_error = abs(Fraction(spec.e)) * contraction.SIN_ULPS * Fraction(math.ulp(min(1.0, abs(x))))
+                for y, s in ((spec._step()(x), math.sin(x)), (y_batch, float(np.sin(x)))):
+                    exact = Fraction(spec.mean_anomaly) + Fraction(spec.e) * Fraction(s)
+                    assert abs(Fraction(y) - exact) + sin_error <= Fraction(r), (spec, x)
 
 
 def _edge_vectors(rng, m, count):
@@ -324,6 +370,9 @@ class TestValidateContraction:
 
             def _apply_batch(self, xs):
                 return 0.5 * xs
+
+            def _rounding_bound(self, xs):
+                return np.full(xs.shape[0], 2.0**-1022)  # x / 2 is exact unless it underflows
 
             def true_factor(self):
                 return math.nan

@@ -56,6 +56,9 @@ class _Halving(ContractionSpec):
     def _apply_batch(self, xs):
         return 0.5 * xs
 
+    def _rounding_bound(self, xs):
+        return np.full(xs.shape[0], 2.0**-1022)  # x / 2 is exact unless it underflows
+
     def true_factor(self):
         return 0.5
 
