@@ -7,7 +7,7 @@ those order relations independently and turns them into rigorous error
 bounds.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .cone import (
     AugmentedPoint,

@@ -99,10 +99,9 @@ def omega_bounds(om: OmegaSpec, x) -> tuple[float, float]:
 def _omega_bounds_rows(om: OmegaSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two bounds of Omega at each row of the (k, m) array ``xs``, with
     NaN where a norm is non-finite.  The map is applied point by point, as
-    :func:`evaluate` does, so no row depends on a batched product's
-    rounding."""
-    apply = om.spec._apply
-    fxs = np.array([apply(x) for x in xs], dtype=float).reshape(xs.shape)
+    :func:`evaluate` does, with its step bound once, so no row depends on a
+    batched product's rounding."""
+    fxs = om.spec._apply_rows(xs)
     drift = row_norms(xs - om.x0)
     residual = row_norms(fxs - xs)
     return drift, (om.d + residual) / (1.0 - om.spec.lam)

@@ -82,7 +82,9 @@ class ContractionSpec(abc.ABC):
     :meth:`_step` defines the map's bits: the engine iterates it, and
     :meth:`_apply` runs it on one point.  :meth:`_apply_batch` is the
     verifier's independent recomputation and need not give them: the trace
-    is checked against it within twice :meth:`_rounding_bound`.
+    is checked against it within twice :meth:`_rounding_bound`.  At m <= 2
+    the affine families' batch does give them, so no BLAS call reaches
+    their traces or their x echo.
     """
 
     lam: float
@@ -99,17 +101,28 @@ class ContractionSpec(abc.ABC):
     @abc.abstractmethod
     def _step(self):
         """The map's one float definition, which the engine binds once per
-        run.  At m = 1 a float -> float function; from m = 2 on a function
-        ``step(x, out)`` that writes f(x) into the float64 array ``out``,
-        which does not overlap ``x``."""
+        run.  It steps on Python floats iff m <= 2: at m = 1 a float ->
+        float function, at m = 2 a function from a pair of floats to a new
+        list of two, which the engine appends to its trace with
+        ``array.fromlist``.  From m = 3 on a function ``step(x, out)`` that
+        writes f(x) into the float64 array ``out``, which does not overlap
+        ``x``."""
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on a validated point: :meth:`_step` on it."""
-        step = self._step()
-        if x.size == 1:
-            return np.array([step(float(x[0]))])
-        out = np.empty(x.size)
-        step(x, out)
+        return self._apply_rows(x[None])[0]
+
+    def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`_apply` on each row of an (n, m) array, with
+        :meth:`_step` bound once."""
+        step, (n, m) = self._step(), xs.shape
+        if m == 1:
+            return np.array([step(x) for x in xs[:, 0].tolist()]).reshape(n, 1)
+        if m == 2:
+            return np.array([step(x) for x in xs.tolist()]).reshape(n, 2)
+        out = np.empty((n, m))
+        for x, y in zip(xs, out):
+            step(x, y)
         return out
 
     @abc.abstractmethod
@@ -160,6 +173,9 @@ class Constant(ContractionSpec):
         if self.c.size == 1:
             c0 = float(self.c[0])
             return lambda x: c0
+        if self.c.size == 2:
+            c0, c1 = self.c.tolist()
+            return lambda x: [c0, c1]
         c = self.c
 
         def step(x, out):
@@ -218,12 +234,11 @@ def _matvec_rounding_bound(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.n
 
 def _matvec_plus_step(a: np.ndarray, b: np.ndarray):
     """A ``step(x, out)`` that writes ``a @ x + b`` without a temporary, bit
-    for bit from m = 2 on: ``a.dot`` into ``out`` calls the same gemv as the
-    matmul (at 1x1 it takes numpy's scalar product instead, whose signed
-    zeros differ).  np.matmul into ``out`` costs twice as much when ``x``
-    and ``out`` are rows of one buffer, as in the engine.  The bound method
-    skips np.dot's dispatch, and ``out`` is passed by position, which numpy
-    parses faster than the keyword."""
+    for bit from m = 3 on, where the engine steps on arrays: ``a.dot`` into
+    ``out`` calls the same gemv as the matmul.  np.matmul into ``out`` costs
+    twice as much when ``x`` and ``out`` are rows of one buffer, as in the
+    engine.  The bound method skips np.dot's dispatch, and ``out`` is passed
+    by position, which numpy parses faster than the keyword."""
     dot, add = a.dot, np.add
 
     def step(x, out):
@@ -231,6 +246,44 @@ def _matvec_plus_step(a: np.ndarray, b: np.ndarray):
         add(out, b, out)
 
     return step
+
+
+def _float_coefficients(a: np.ndarray, b: np.ndarray) -> tuple[float, ...] | None:
+    """The entries of ``a``, row by row, then of ``b``, as Python floats at
+    m <= 2, where x -> a x + b steps on floats; None from m = 3 on."""
+    return tuple(a.ravel().tolist() + b.tolist()) if b.size <= 2 else None
+
+
+def _float_affine_step(coefficients: tuple[float, ...]):
+    """x -> A x + b at m <= 2 from :func:`_float_coefficients`: at m = 1 on
+    a float, at m = 2 on a pair, returning a list.  Each component is
+    written out, ``((0 + a_i0 x_0) + a_i1 x_1) + b_i``, in separate,
+    correctly rounded operations: no BLAS call and no fused multiply-add.
+    The sum starts from +0, as a matmul's does: a product of -0 then gives
+    +0, and +0 + b = +0 where -0 + b = -0 at b = -0.  Given numpy columns
+    in place of floats, the same function computes the same bits on each
+    row, which is how :meth:`Affine._apply_batch` uses it."""
+    if len(coefficients) == 2:
+        a0, b0 = coefficients
+        return lambda x: (0.0 + a0 * x) + b0
+    a00, a01, a10, a11, b0, b1 = coefficients
+
+    def step(x):
+        x0, x1 = x
+        return [((0.0 + a00 * x0) + a01 * x1) + b0, ((0.0 + a10 * x0) + a11 * x1) + b1]
+
+    return step
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _float_affine_batch(coefficients: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
+    """:func:`_float_affine_step` on the columns of an (n, m) array, m <= 2:
+    the bits of the step on each row, with no warning where it overflows,
+    as a matmul gives none."""
+    step = _float_affine_step(coefficients)
+    if xs.shape[1] == 1:
+        return step(xs[:, 0])[:, None]
+    return np.column_stack(step((xs[:, 0], xs[:, 1])))
 
 
 @dataclass(frozen=True)
@@ -244,6 +297,7 @@ class Affine(ContractionSpec):
     a: np.ndarray
     b: np.ndarray
     lam: float
+    _coefficients: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
     kind = "affine"
     file_keys = (("A", "a"), ("b", "b"))
 
@@ -261,21 +315,21 @@ class Affine(ContractionSpec):
             raise InvalidSpecError(
                 f"b has dimension {self.b.size} but A is {a.shape[0]}x{a.shape[1]}"
             )
+        object.__setattr__(self, "_coefficients", _float_coefficients(a, self.b))
 
     @property
     def dimension(self) -> int:
         return self.b.size
 
     def _step(self):
-        if self.b.size > 1:
+        if self._coefficients is None:
             return _matvec_plus_step(self.a, self.b)
-        # The product's sum starts from +0, as in the matmul: a x = -0 then
-        # gives +0, and +0 + b = +0 where -0 + b = -0 at b = -0.
-        a0, b0 = float(self.a[0, 0]), float(self.b[0])
-        return lambda x: (0.0 + a0 * x) + b0
+        return _float_affine_step(self._coefficients)
 
     def _apply_batch(self, xs):
-        return xs @ self.a.T + self.b
+        if self._coefficients is None:
+            return xs @ self.a.T + self.b
+        return _float_affine_batch(self._coefficients, xs)
 
     def _rounding_bound(self, xs):
         return _matvec_rounding_bound(self.a, self.b, xs)
@@ -299,6 +353,7 @@ class ScaledRotation(ContractionSpec):
     b: np.ndarray
     lam: float
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _coefficients: tuple[float, ...] = field(init=False, repr=False, compare=False)
     kind = "scaled_rotation"
     file_keys = (("theta", "theta"), ("scale", "scale"), ("b", "b"))
 
@@ -321,6 +376,7 @@ class ScaledRotation(ContractionSpec):
         matrix = self.scale * np.array([[c, -s], [s, c]])
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_coefficients", _float_coefficients(matrix, self.b))
 
     @property
     def dimension(self) -> int:
@@ -332,10 +388,10 @@ class ScaledRotation(ContractionSpec):
         return self._matrix
 
     def _step(self):
-        return _matvec_plus_step(self._matrix, self.b)
+        return _float_affine_step(self._coefficients)
 
     def _apply_batch(self, xs):
-        return xs @ self._matrix.T + self.b
+        return _float_affine_batch(self._coefficients, xs)
 
     def _rounding_bound(self, xs):
         return _matvec_rounding_bound(self._matrix, self.b, xs)

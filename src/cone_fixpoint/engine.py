@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,8 @@ DEFAULT_MAX_ITERATIONS = 1_000_000
 # ill-conditioned and runs carry a warning.
 CONDITIONING_GAP = 1e-6
 
-# Rows of an APosteriori run's first trace buffer; it doubles when full.
+# Rows of the first trace buffer of an APosteriori run at m >= 3; it
+# doubles when full.
 INITIAL_ROWS = 64
 
 # An APosteriori run takes its steps in blocks of STOP_BLOCK and tests each
@@ -243,46 +245,80 @@ def first_step(spec: ContractionSpec, x0: np.ndarray) -> float:
     return norm(evaluate(spec, x0) - x0)
 
 
-def _iterate(step, on_floats: bool, xs: np.ndarray, ts: np.ndarray, last: int,
-             lam: float, d: float, stop_factor: float | None, eps: float | None,
-             reason: StopReason):
-    """Steps 1..``last`` of the pair iteration, from row 0 of the buffers
-    ``xs`` and ``ts``, which double (up to last + 1 rows) when full.
-    ``step`` takes x^n to x^{n+1}: on floats it returns it, on arrays it
-    writes it into row n+1, and x^n is a view of row n.  Without a
-    ``stop_factor`` every step is taken, untested.  With one the steps go in
-    blocks of :data:`STOP_BLOCK`, and after each block one :func:`row_norms`
-    call takes the a-posteriori test ``stop_factor * norm(x^n - x^{n-1}) <=
-    eps`` on all of its steps: the run ends at the first step that passes,
-    or raises if that step's norm is non-finite, and the steps computed past
-    it are dropped; a run no step stops ends flagged MAX_ITERATIONS.
-    Returns the buffers, the last step kept and the stop reason."""
-    x = float(xs[0]) if on_floats else xs[0]
-    t = float(ts[0])
-    start = 1
-    while start <= last:
-        end = last if stop_factor is None else min(start + STOP_BLOCK - 1, last)
+def _blocks(last: int, stop_factor: float | None):
+    """The (start, end) ranges in which steps 1..``last`` are taken: all at
+    once without a ``stop_factor``, else in blocks of :data:`STOP_BLOCK`,
+    each followed by the a-posteriori test."""
+    size = max(last, 1) if stop_factor is None else STOP_BLOCK
+    return ((start, min(start + size - 1, last)) for start in range(1, last + 1, size))
+
+
+def _first_stop(rows: np.ndarray, stop_factor: float, eps: float) -> int | None:
+    """The a-posteriori test ``stop_factor * norm(x^{k+1} - x^k) <= eps`` on
+    the steps between consecutive rows of the (k+1, m) array ``rows``, in
+    one :func:`row_norms` call: the index of the first step that passes, or
+    None.  Raises if that step's norm is non-finite."""
+    step_norms = row_norms(rows[1:] - rows[:-1])
+    passed = ~(stop_factor * step_norms > eps)
+    if not passed.any():
+        return None
+    k = int(np.argmax(passed))
+    if np.isnan(step_norms[k]):
+        raise InvalidInputError(NON_FINITE_NORM)
+    return k
+
+
+def _iterate_on_floats(step, x0: np.ndarray, last: int, lam: float, d: float,
+                       stop_factor: float | None, eps: float | None):
+    """Steps 1..``last`` of the pair iteration on Python floats, from the
+    array ``x0`` of m <= 2 coordinates, tested as :func:`_blocks` says.
+    ``step`` takes x^n, a float at m = 1 and a pair at m = 2, to x^{n+1}.
+    The rows go into growing arrays of doubles, which the caller views as
+    numpy arrays without a copy: the coordinates of x^0, x^1, ... in one
+    flat array, and t^0, t^1, ... in another.  A list would hold a 24-byte
+    Python float and an 8-byte pointer per value, four times the 8 bytes
+    here, until the end of the run.  At m = 2 the step returns a list,
+    which ``fromlist`` copies in faster than ``extend`` copies a tuple.
+    Returns both arrays and the step that passed the test, or None; they
+    may run past that step by up to ``STOP_BLOCK - 1`` rows."""
+    m, xs, ts, t = x0.size, array("d", x0.tolist()), array("d", [0.0]), 0.0
+    x = xs[0] if m == 1 else xs.tolist()
+    put, put_t = xs.append if m == 1 else xs.fromlist, ts.append
+    for start, end in _blocks(last, stop_factor):
+        for _ in range(start, end + 1):
+            t = lam * t + d
+            put_t(t)
+            x = step(x)
+            put(x)
+        if stop_factor is not None:
+            k = _first_stop(np.array(xs[(start - 1) * m :]).reshape(-1, m), stop_factor, eps)
+            if k is not None:
+                return xs, ts, start + k
+    return xs, ts, None
+
+
+def _iterate_on_arrays(step, xs: np.ndarray, ts: np.ndarray, last: int, lam: float,
+                       d: float, stop_factor: float | None, eps: float | None):
+    """Steps 1..``last`` of the pair iteration on float64 arrays, from row 0
+    of the buffers ``xs`` and ``ts``, which double (up to last + 1 rows)
+    when full, tested as :func:`_blocks` says.  ``step`` writes x^{n+1} into
+    row n+1, and x^n is a view of row n.  Returns the buffers and the step
+    that passed the test, or None; the buffers may hold up to
+    ``STOP_BLOCK - 1`` computed rows past that step."""
+    x, t = xs[0], 0.0
+    for start, end in _blocks(last, stop_factor):
         while end >= xs.shape[0]:
             xs, ts = _grown(xs, last + 1), _grown(ts, last + 1)
         for n in range(start, end + 1):
             t = lam * t + d
             ts[n] = t
-            if on_floats:
-                xs[n] = x = step(x)
-            else:
-                step(x, xs[n])
-                x = xs[n]
+            step(x, xs[n])
+            x = xs[n]
         if stop_factor is not None:
-            steps = xs[start : end + 1] - xs[start - 1 : end]
-            step_norms = row_norms(steps.reshape(end + 1 - start, -1))
-            passed = ~(stop_factor * step_norms > eps)
-            if passed.any():
-                k = int(np.argmax(passed))
-                if np.isnan(step_norms[k]):
-                    raise InvalidInputError(NON_FINITE_NORM)
-                return xs, ts, start + k, reason
-        start = end + 1
-    return xs, ts, last, reason if stop_factor is None else StopReason.MAX_ITERATIONS
+            k = _first_stop(xs[start - 1 : end + 1], stop_factor, eps)
+            if k is not None:
+                return xs, ts, start + k
+    return xs, ts, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -294,18 +330,20 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     step norm d is computed once and then frozen into the scalar recurrence;
     a d whose limit t* = d / (1 - lam) overflows is refused before any step.
     The loop calls the family's ``_step``, the map's one float definition,
-    bound once per run.  At m = 1 it iterates on Python floats; from m = 2
-    on it iterates on float64 arrays, and the step writes f(x^n) straight
-    into row n+1 of the trace buffer.  The rule only sets where the loop
-    ends: when the step count N is known in advance (``APriori``,
-    ``FixedCount``, or N = 0 at an exact fixed point) the (N+1)-row buffers
-    are allocated once and no step norm is computed.
-    ``APosteriori`` starts from smaller buffers that double when full and
-    tests its steps in blocks of :data:`STOP_BLOCK`, one batched call per
-    block with :func:`norm`'s bits, on floats and arrays alike: it stops
-    exactly where a test on every step's norm would, and drops the at most
-    ``STOP_BLOCK - 1`` steps it computed past the stop.  A run that
-    exhausts its ``max_iterations`` guard is returned truncated and flagged
+    bound once per run.  At m <= 2 it iterates on Python floats, in one
+    loop that appends the rows to arrays of doubles and views them as the
+    trace's arrays at the end; no BLAS call reaches such a trace.  From m = 3 on it
+    iterates on float64 arrays, and the step writes f(x^n) straight into
+    row n+1 of the trace buffer.  The rule only sets where the loop ends:
+    when the step count N is known in advance (``APriori``, ``FixedCount``,
+    or N = 0 at an exact fixed point) no step norm is computed, and the
+    (N+1)-row buffers of an array run are allocated once.  ``APosteriori``
+    (whose array buffers start smaller and double when full) tests its
+    steps in blocks of :data:`STOP_BLOCK`, one batched call per block with
+    :func:`norm`'s bits, on floats and arrays alike: it stops exactly where
+    a test on every step's norm would, and drops the at most
+    ``STOP_BLOCK - 1`` steps it computed past the stop.  A run that exhausts
+    its ``max_iterations`` guard is returned truncated and flagged
     MAX_ITERATIONS rather than raising, so the partial trace is never lost.
     An overflowing map raises only the trace's non-finite-row error, or
     under ``APosteriori`` the step norm's, unless it overflows only at a
@@ -343,27 +381,28 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     elif steps is not None and steps > rule.max_iterations:
         steps, reason = rule.max_iterations, StopReason.MAX_ITERATIONS
 
-    lam, step, on_floats = spec.lam, spec._step(), x0.size == 1
+    lam, step, m = spec.lam, spec._step(), x0.size
     if steps is None:
-        last, rows = rule.max_iterations, min(INITIAL_ROWS, rule.max_iterations + 1)
-        stop_factor, eps = lam / gap, rule.eps
+        last, stop_factor, eps = rule.max_iterations, lam / gap, rule.eps
     else:
-        last, rows, stop_factor, eps = steps, steps + 1, None, None
-    # The map writes each array row straight into the buffer.  Keeping the
-    # outputs in a list, to stack them once at the end, made wide_affine's
-    # m = 300 operations about 15 % slower.
-    if on_floats:
-        xs = np.empty(rows)
-        xs[0] = x0[0]
+        last, stop_factor, eps = steps, None, None
+    if m <= 2:
+        xs, ts, n = _iterate_on_floats(step, x0, last, lam, d, stop_factor, eps)
+        xs, ts = np.frombuffer(xs).reshape(-1, m), np.frombuffer(ts)
     else:
-        xs = np.empty((rows, x0.size))
-        xs[0] = x0
-    ts = np.empty(rows)
-    ts[0] = 0.0
-    xs, ts, n, stop = _iterate(step, on_floats, xs, ts, last, lam, d, stop_factor, eps, reason)
+        # The map writes each row straight into the buffer.  Keeping the
+        # outputs in a list, to stack them once at the end, made
+        # wide_affine's m = 300 operations about 15 % slower.
+        rows = steps + 1 if steps is not None else min(INITIAL_ROWS, last + 1)
+        xs, ts = np.empty((rows, m)), np.empty(rows)
+        xs[0], ts[0] = x0, 0.0
+        xs, ts, n = _iterate_on_arrays(step, xs, ts, last, lam, d, stop_factor, eps)
+    if n is None:
+        n = last
+        if stop_factor is not None:
+            reason = StopReason.MAX_ITERATIONS
 
     return IterationTrace(
-        spec=spec, x0=x0, d=d,
-        xs=xs[: n + 1].reshape(n + 1, x0.size), ts=ts[: n + 1],
-        stop_reason=stop, warnings=warnings,
+        spec=spec, x0=x0, d=d, xs=xs[: n + 1], ts=ts[: n + 1],
+        stop_reason=reason, warnings=warnings,
     )

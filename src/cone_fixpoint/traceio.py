@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 from typing import NoReturn
 
@@ -336,8 +337,29 @@ def certificate_doc(
     return doc
 
 
+def _finite_json(value):
+    """``value`` with every non-finite float replaced by its name, the
+    string ``"nan"``, ``"inf"`` or ``"-inf"``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def dump_certificate(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The certificate document as JSON text that any RFC 8259 parser
+    reads: a non-finite number, such as a failed check's NaN residual, is
+    written as the string ``"nan"``, ``"inf"`` or ``"-inf"``, never as a
+    bare token.  The copy that names them is made only for a document that
+    holds one."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite number
+        text = json.dumps(_finite_json(doc), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def write_certificate(doc: dict, path: str):

@@ -25,7 +25,9 @@ from cone_fixpoint import (
     InvalidInputError,
     InvalidWitnessError,
     IterationTrace,
+    KeplerScalar,
     OmegaSpec,
+    ScaledRotation,
     TolerancePolicy,
     builtin,
     builtin_catalog,
@@ -365,6 +367,22 @@ class TestConsistencyAllowance:
         for seed in range(2 if m == 300 else 8):
             spec, x0 = _affine(m, seed=700 + seed, lam=0.96)
             _assert_echoes_within_the_allowance(spec, x0, APosteriori(1e-10))
+
+    @pytest.mark.parametrize("rule", [APriori(1e-12), APosteriori(1e-12), FixedCount(400)],
+                             ids=lambda r: type(r).__name__)
+    def test_honest_affine_traces_echo_zero_up_to_m_2(self, rule):
+        # at m <= 2 the verifier's batch map takes the step's operations on
+        # numpy columns: every x echo of an honest trace is 0, whatever the
+        # BLAS kernel
+        problems = [(p.spec, p.x0) for p in builtin_catalog()
+                    if p.spec.dimension <= 2 and not isinstance(p.spec, KeplerScalar)]
+        problems += [_affine(m, seed=750 + seed, lam=0.99) for m in (1, 2) for seed in range(6)]
+        problems += [(ScaledRotation(theta=theta, scale=scale, b=[0.3, -2.0], lam=0.995), [5.0, -7.5])
+                     for theta in (1.234, -2.0) for scale in (0.99, -0.37)]
+        for spec, x0 in problems:
+            cert = verify_certificate(run(spec, x0, rule))
+            assert cert.passed, cert.first_failure
+            assert not cert.consistency_x.any(), spec
 
     @pytest.mark.parametrize("name", EDGE_KEPLER)
     def test_edge_kepler_maps_keep_within_it(self, name):

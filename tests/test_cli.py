@@ -38,6 +38,30 @@ def run_cli(*args, timeout=None):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"bare JSON constant {token}")
+
+
+def strict_json(text):
+    """``json.loads`` refusing the bare ``NaN``, ``Infinity`` and
+    ``-Infinity`` tokens, which RFC 8259 does not allow."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+@pytest.fixture(autouse=True)
+def certificates_are_strict_json(tmp_path):
+    """Every certificate a test writes under its temporary directory
+    parses under :func:`strict_json`."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        try:
+            doc = json.loads(path.read_text())
+        except (ValueError, UnicodeDecodeError):
+            continue  # a malformed file a test wrote on purpose
+        if isinstance(doc, dict) and doc.get("tool") == "cone-fixpoint":
+            strict_json(path.read_text())
+
+
 @pytest.fixture
 def in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -508,7 +532,11 @@ class TestProblemFiles:
         assert proc.returncode == 1
         assert "verdict        fail" in proc.stdout
         assert proc.stderr == ""
-        assert json.loads((in_tmp / "c.json").read_text())["verdict"] == "fail"
+        # the NaN residuals are written as strings, which a strict parser reads
+        doc = strict_json((in_tmp / "c.json").read_text())
+        assert doc["verdict"] == "fail"
+        assert doc["checks"]["consistency"]["max_x_echo"] == "nan"
+        assert doc["checks"]["limit"]["min_residual"] == "nan"
 
     def test_drifted_trace_fails_at_point_1(self, in_tmp, capsys):
         # x^{n+1} = fl(f(x^n)) - 0.9e-12 max(1, |f(x^n)|) under the honest t

@@ -94,12 +94,42 @@ SCALAR_SPECS = {
 
 
 def _definition(spec, x):
-    """The map at the array x as its family defines it, written out."""
+    """The map at the array x as its family defines it, written out.  An
+    affine map sums each component from +0 on Python floats at m <= 2,
+    ((0 + a_i0 x_0) + a_i1 x_1) + b_i, and is the matmul from m = 3 on."""
     if isinstance(spec, Constant):
         return spec.c
     if isinstance(spec, KeplerScalar):
         return np.array([spec.mean_anomaly + spec.e * math.sin(x[0])])
-    return (spec.matrix if isinstance(spec, ScaledRotation) else spec.a) @ x + spec.b
+    a = spec.matrix if isinstance(spec, ScaledRotation) else spec.a
+    if x.size > 2:
+        return a @ x + spec.b
+    out = []
+    for row, b in zip(a.tolist(), spec.b.tolist()):
+        total = 0.0
+        for a_ij, x_j in zip(row, x.tolist()):
+            total = total + a_ij * x_j
+        out.append(total + b)
+    return np.array(out)
+
+
+def _rotations(values):
+    """Every cyclic rotation of the list ``values``."""
+    return [values[k:] + values[:k] for k in range(len(values))]
+
+
+# Maps of m = 2 whose six coefficients are consecutive entries of a rotation
+# of SIGNED_COEFFICIENTS, and rotations scaled by each of its entries that
+# lam allows: signed zeros, subnormals and overflowing coefficients.
+PAIR_SPECS = (
+    [Affine(a=[c[0:2], c[2:4]], b=c[4:6], lam=0.95) for c in _rotations(SIGNED_COEFFICIENTS)]
+    + [ScaledRotation(theta=theta, scale=c[0], b=c[1:3], lam=0.95)
+       for c in _rotations(SIGNED_COEFFICIENTS) if abs(c[0]) <= 0.95
+       for theta in (0.0, 1.234, -math.pi)]
+    + [Constant(c=c[0:2], lam=0.5) for c in _rotations(SIGNED_COEFFICIENTS)]
+)
+# Every pair of edge inputs
+EDGE_PAIRS = np.array([[x0, x1] for x0 in EDGE_INPUTS for x1 in EDGE_INPUTS])
 
 
 class TestScalarMap:
@@ -119,6 +149,55 @@ class TestScalarMap:
         # a x = -0 and b = -0: the matmul's sum starts from +0, so f = +0
         spec = Affine(a=[[0.5]], b=[-0.0], lam=0.5)
         assert math.copysign(1.0, spec._step()(-0.0)) == 1.0
+
+
+class TestPairMap:
+    """At m = 2 an affine map steps on a pair of Python floats, written out
+    as at m = 1, and the verifier's batch map takes the same operations on
+    numpy columns: no BLAS call and no fused multiply-add."""
+
+    def test_step_same_bits_as_definition(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec in PAIR_SPECS:
+                step = spec._step()
+                for x in EDGE_PAIRS:
+                    y = step(x.tolist())
+                    assert type(y) is list and all(type(v) is float for v in y), spec
+                    assert np.array(y).tobytes() == _definition(spec, x).tobytes(), (spec, x)
+
+    def test_zero_products_take_the_sign_of_the_sum(self):
+        # every product is -0 and b = -0: each sum starts from +0, so f = +0
+        spec = Affine(a=[[0.5, -0.5], [-0.25, 0.25]], b=[-0.0, -0.0], lam=0.9)
+        assert [math.copysign(1.0, v) for v in spec._step()((-0.0, 0.0))] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("kind", ["pair", "affine", "constant"])
+    def test_batch_same_bits_as_step(self, kind):
+        # so an honest trace's x echo is 0 at every row, on any BLAS kernel.
+        # A NaN is compared as a NaN only: IEEE 754 leaves open which
+        # operand's sign and payload the sum of two NaNs takes, and numpy's
+        # baseline loops order the operands unlike its SIMD loops.
+        specs = PAIR_SPECS if kind == "pair" else SCALAR_SPECS[kind]
+        for spec in specs:
+            xs = EDGE_PAIRS if spec.dimension == 2 else np.array(EDGE_INPUTS)[:, None]
+            rows, batch = spec._apply_rows(xs), spec._apply_batch(xs)
+            assert np.array_equal(np.isnan(rows), np.isnan(batch)), spec
+            rows[np.isnan(rows)] = batch[np.isnan(batch)] = np.nan
+            assert rows.tobytes() == batch.tobytes(), spec
+
+    def test_apply_rows_same_bits_as_apply(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec in PAIR_SPECS:
+                rows = spec._apply_rows(EDGE_PAIRS)
+                for x, y in zip(EDGE_PAIRS, rows):
+                    assert y.tobytes() == spec._apply(x).tobytes(), (spec, x)
+
+    def test_coefficients_are_floats_built_once(self):
+        spec = Affine(a=[[0.5, -0.25], [0.125, 0.0]], b=[1.0, -2.0], lam=0.9)
+        assert spec._coefficients == (0.5, -0.25, 0.125, 0.0, 1.0, -2.0)
+        assert all(type(c) is float for c in spec._coefficients)
+        assert rotation_spec()._coefficients == tuple(rotation_spec().matrix.ravel().tolist()) + (1.0, 0.0)
+        assert Affine(a=np.eye(3) / 2, b=np.ones(3), lam=0.5)._coefficients is None
+        assert "_coefficients" not in repr(spec)
 
 
 class TestKeplerBatchMap:
@@ -210,15 +289,20 @@ def _stepper_specs(m, rng):
 class TestStepper:
     @pytest.mark.parametrize("m", [2, 3, 8, 300])
     def test_same_bits_as_apply(self, m):
-        # The engine's array loop writes f(x^n) into row n+1 of its buffer,
-        # x^n being row n, with one step bound per run: the bits must be
-        # those of the map's written-out definition, the sign of a zero, an
-        # overflow to inf and a NaN included, whatever the row held.
+        # The engine's loop takes f(x^n) from the step bound once per run:
+        # at m = 2 as a pair of floats, from m = 3 on written into row n+1 of
+        # its buffer, x^n being row n.  The bits must be those of the map's
+        # written-out definition, the sign of a zero, an overflow to inf and
+        # a NaN included, whatever the row held.
         rng = np.random.default_rng(m)
         with np.errstate(over="ignore", invalid="ignore"):
             for spec in _stepper_specs(m, rng):
                 step = spec._step()
                 for x in _edge_vectors(rng, m, 3 if m > 50 else 20):
+                    if m == 2:
+                        y = np.array(step(x.tolist()))
+                        assert y.tobytes() == _definition(spec, x).tobytes(), (spec, x)
+                        continue
                     rows = np.full((2, m), np.nan)
                     rows[0] = x
                     step(rows[0], rows[1])

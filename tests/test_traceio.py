@@ -619,3 +619,20 @@ class TestCertificateDoc:
         loaded = json.loads(path.read_text())
         assert loaded["verdict"] == "pass"
         assert sorted(os.listdir(tmp_path)) == ["cert.json"]
+
+    def test_non_finite_numbers_are_written_as_strings(self):
+        # RFC 8259 has no NaN or infinity: a strict parser refuses the bare
+        # tokens json.dumps writes by default
+        doc = self._doc(full=True)
+        doc["checks"]["fixed_point"]["residual"] = float("nan")
+        doc["full_residuals"]["monotone"][1:3] = [float("inf"), float("-inf")]
+
+        def refuse(token):
+            raise ValueError(f"bare JSON constant {token}")
+
+        loaded = json.loads(dump_certificate(doc), parse_constant=refuse)
+        assert loaded["checks"]["fixed_point"]["residual"] == "nan"
+        assert loaded["full_residuals"]["monotone"][1:3] == ["inf", "-inf"]
+        assert loaded["full_residuals"]["monotone"][0] == doc["full_residuals"]["monotone"][0]
+        finite = self._doc(full=True)
+        assert json.loads(dump_certificate(finite), parse_constant=refuse) == finite
