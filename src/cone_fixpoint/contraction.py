@@ -69,6 +69,13 @@ BISECTION_WIDTH = 1e-12
 SIN_ULPS = 2
 
 
+def steps_on_floats(m: int) -> bool:
+    """Whether maps on R^m step on Python floats, m <= 2, rather than on
+    float64 arrays: the one place that sets the width, for every family's
+    :meth:`ContractionSpec._step` and for the engine's loop."""
+    return m <= 2
+
+
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
     if not (math.isfinite(lam) and 0.0 < lam < 1.0):
@@ -101,12 +108,12 @@ class ContractionSpec(abc.ABC):
     @abc.abstractmethod
     def _step(self):
         """The map's one float definition, which the engine binds once per
-        run.  It steps on Python floats iff m <= 2: at m = 1 a float ->
-        float function, at m = 2 a function from a pair of floats to a new
-        list of two, which the engine appends to its trace with
-        ``array.fromlist``.  From m = 3 on a function ``step(x, out)`` that
-        writes f(x) into the float64 array ``out``, which does not overlap
-        ``x``."""
+        run.  It steps on Python floats iff :func:`steps_on_floats` (m <= 2):
+        at m = 1 a float -> float function, above it a function from a
+        list of m floats to a new list, which the engine appends to its
+        trace with ``array.fromlist``.  From m = 3 on a function
+        ``step(x, out)`` that writes f(x) into the float64 array ``out``,
+        which does not overlap ``x``."""
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on a validated point: :meth:`_step` on it."""
@@ -116,14 +123,14 @@ class ContractionSpec(abc.ABC):
         """:meth:`_apply` on each row of an (n, m) array, with
         :meth:`_step` bound once."""
         step, (n, m) = self._step(), xs.shape
+        if not steps_on_floats(m):
+            out = np.empty((n, m))
+            for x, y in zip(xs, out):
+                step(x, y)
+            return out
         if m == 1:
             return np.array([step(x) for x in xs[:, 0].tolist()]).reshape(n, 1)
-        if m == 2:
-            return np.array([step(x) for x in xs.tolist()]).reshape(n, 2)
-        out = np.empty((n, m))
-        for x, y in zip(xs, out):
-            step(x, y)
-        return out
+        return np.array([step(x) for x in xs.tolist()]).reshape(n, m)
 
     @abc.abstractmethod
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -170,18 +177,18 @@ class Constant(ContractionSpec):
         return self.c.size
 
     def _step(self):
-        if self.c.size == 1:
-            c0 = float(self.c[0])
-            return lambda x: c0
-        if self.c.size == 2:
-            c0, c1 = self.c.tolist()
-            return lambda x: [c0, c1]
         c = self.c
+        if not steps_on_floats(c.size):
 
-        def step(x, out):
-            out[...] = c
+            def step(x, out):
+                out[...] = c
 
-        return step
+            return step
+        values = c.tolist()
+        if c.size == 1:
+            c0 = values[0]
+            return lambda x: c0
+        return lambda x: values.copy()
 
     def _apply_batch(self, xs):
         return np.broadcast_to(self.c, xs.shape).copy()
@@ -249,9 +256,9 @@ def _matvec_plus_step(a: np.ndarray, b: np.ndarray):
 
 
 def _float_coefficients(a: np.ndarray, b: np.ndarray) -> tuple[float, ...] | None:
-    """The entries of ``a``, row by row, then of ``b``, as Python floats at
-    m <= 2, where x -> a x + b steps on floats; None from m = 3 on."""
-    return tuple(a.ravel().tolist() + b.tolist()) if b.size <= 2 else None
+    """The entries of ``a``, row by row, then of ``b``, as Python floats
+    where x -> a x + b steps on floats (:func:`steps_on_floats`); else None."""
+    return tuple(a.ravel().tolist() + b.tolist()) if steps_on_floats(b.size) else None
 
 
 def _float_affine_step(coefficients: tuple[float, ...]):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import NON_FINITE_NORM, AugmentedPoint, as_vector, norm, row_norms
-from .contraction import ContractionSpec, evaluate
+from .contraction import ContractionSpec, evaluate, steps_on_floats
 from .errors import DimensionMismatchError, InvalidInputError, check_integer
 
 DEFAULT_MAX_ITERATIONS = 1_000_000
@@ -271,14 +271,16 @@ def _first_stop(rows: np.ndarray, stop_factor: float, eps: float) -> int | None:
 def _iterate_on_floats(step, x0: np.ndarray, last: int, lam: float, d: float,
                        stop_factor: float | None, eps: float | None):
     """Steps 1..``last`` of the pair iteration on Python floats, from the
-    array ``x0`` of m <= 2 coordinates, tested as :func:`_blocks` says.
-    ``step`` takes x^n, a float at m = 1 and a pair at m = 2, to x^{n+1}.
+    array ``x0`` of m coordinates (:func:`steps_on_floats`), tested as
+    :func:`_blocks` says.  ``step`` takes x^n, a float at m = 1 and else a
+    list, to x^{n+1}.
     The rows go into growing arrays of doubles, which the caller views as
     numpy arrays without a copy: the coordinates of x^0, x^1, ... in one
     flat array, and t^0, t^1, ... in another.  A list would hold a 24-byte
     Python float and an 8-byte pointer per value, four times the 8 bytes
-    here, until the end of the run.  At m = 2 the step returns a list,
-    which ``fromlist`` copies in faster than ``extend`` copies a tuple.
+    here, until the end of the run.  From m = 2 on the step returns a
+    list, which ``fromlist`` copies in faster than ``extend`` copies a
+    tuple.
     Returns both arrays and the step that passed the test, or None; they
     may run past that step by up to ``STOP_BLOCK - 1`` rows."""
     m, xs, ts, t = x0.size, array("d", x0.tolist()), array("d", [0.0]), 0.0
@@ -330,11 +332,11 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     step norm d is computed once and then frozen into the scalar recurrence;
     a d whose limit t* = d / (1 - lam) overflows is refused before any step.
     The loop calls the family's ``_step``, the map's one float definition,
-    bound once per run.  At m <= 2 it iterates on Python floats, in one
-    loop that appends the rows to arrays of doubles and views them as the
-    trace's arrays at the end; no BLAS call reaches such a trace.  From m = 3 on it
-    iterates on float64 arrays, and the step writes f(x^n) straight into
-    row n+1 of the trace buffer.  The rule only sets where the loop ends:
+    bound once per run.  At m <= 2 (:func:`steps_on_floats`) it iterates
+    on Python floats, in one loop that appends the rows to arrays of
+    doubles and views them as the trace's arrays at the end; no BLAS call
+    reaches such a trace.  From m = 3 on it iterates on float64 arrays,
+    and the step writes f(x^n) straight into row n+1 of the trace buffer.  The rule only sets where the loop ends:
     when the step count N is known in advance (``APriori``, ``FixedCount``,
     or N = 0 at an exact fixed point) no step norm is computed, and the
     (N+1)-row buffers of an array run are allocated once.  ``APosteriori``
@@ -386,7 +388,7 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
         last, stop_factor, eps = rule.max_iterations, lam / gap, rule.eps
     else:
         last, stop_factor, eps = steps, None, None
-    if m <= 2:
+    if steps_on_floats(m):
         xs, ts, n = _iterate_on_floats(step, x0, last, lam, d, stop_factor, eps)
         xs, ts = np.frombuffer(xs).reshape(-1, m), np.frombuffer(ts)
     else:

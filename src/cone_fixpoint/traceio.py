@@ -353,13 +353,8 @@ def dump_certificate(doc: dict) -> str:
     """The certificate document as JSON text that any RFC 8259 parser
     reads: a non-finite number, such as a failed check's NaN residual, is
     written as the string ``"nan"``, ``"inf"`` or ``"-inf"``, never as a
-    bare token.  The copy that names them is made only for a document that
-    holds one."""
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # a non-finite number
-        text = json.dumps(_finite_json(doc), indent=2, sort_keys=True, allow_nan=False)
-    return text + "\n"
+    bare token."""
+    return json.dumps(_finite_json(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_certificate(doc: dict, path: str):

@@ -531,13 +531,17 @@ class TestSameBitsAsListLoop:
             (ScaledRotation(theta=0.5, scale=0.5, b=[1e308, 0.0], lam=0.95), [0.0, 0.0]),
             (Constant(c=[-0.0, 5e-324], lam=0.4), [1.0, -0.0]),
             (Constant(c=[1.5, -2.0], lam=0.4), [0.0, 0.0]),
+            # from m = 3 on a constant map writes its rows into the buffer
+            (Constant(c=[-0.0, 5e-324, 1.5], lam=0.4), [1.0, -0.0, 0.0]),
+            (Constant(c=[1.5, -2.0, 1e308], lam=0.4), [0.0, 0.0, 0.0]),
         ]
         for spec, x0 in problems:
             _assert_same_outcome(spec, x0, rule)
 
     @pytest.mark.parametrize("max_iterations", [63, 64, 65, 129, 300])
     def test_in_place_rows_past_buffer_growth(self, max_iterations):
-        # affine maps of every width are taken by test_max_iterations_past_buffer_growth
+        # the rotation steps on floats; affine maps of every width, on
+        # floats and in place, are taken by test_max_iterations_past_buffer_growth
         rule = APosteriori(1e-300, max_iterations=max_iterations)
         spec = ScaledRotation(theta=0.3, scale=-0.99, b=[1.0, 2.0], lam=0.995)
         _assert_same_as_reference(spec, [0.0, 0.0], rule)
@@ -633,8 +637,8 @@ class TestSameBitsAsListLoop:
             _assert_same_as_reference(spec, x0, APosteriori(1e-300, max_iterations=max_iterations))
 
     @pytest.mark.parametrize("spec,x0", [(Affine(a=[[0.5]], b=[1e308], lam=0.5), [1e308]),
-                                         (Affine(a=0.5 * np.eye(2), b=[1e308, 0.0], lam=0.5),
-                                          [1e308, 0.0])],
+                                         (Affine(a=0.5 * np.eye(3), b=[1e308, 0.0, 0.0], lam=0.5),
+                                          [1e308, 0.0, 0.0])],
                              ids=["floats", "arrays"])
     def test_overflow_past_the_stop_is_dropped(self, spec, x0):
         # the stop value of step 1 is 5e307 <= eps; step 3 overflows in the
