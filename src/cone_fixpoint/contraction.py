@@ -108,12 +108,11 @@ class ContractionSpec(abc.ABC):
     @abc.abstractmethod
     def _step(self):
         """The map's one float definition, which the engine binds once per
-        run.  It steps on Python floats iff :func:`steps_on_floats` (m <= 2):
-        at m = 1 a float -> float function, above it a function from a
-        list of m floats to a new list, which the engine appends to its
-        trace with ``array.fromlist``.  From m = 3 on a function
-        ``step(x, out)`` that writes f(x) into the float64 array ``out``,
-        which does not overlap ``x``."""
+        run: a pure function x -> f(x) on x in its step form, a float at
+        m = 1, a list of m floats at m = 2 (:func:`steps_on_floats`) and a
+        float64 array from m = 3 on.  It returns a new value of the same
+        form and never writes into x; from m = 3 on it may return an array
+        the map holds (``Constant``'s c), so every caller copies it."""
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on a validated point: :meth:`_step` on it."""
@@ -121,16 +120,10 @@ class ContractionSpec(abc.ABC):
 
     def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
         """:meth:`_apply` on each row of an (n, m) array, with
-        :meth:`_step` bound once."""
+        :meth:`_step` bound once, into a new array."""
         step, (n, m) = self._step(), xs.shape
-        if not steps_on_floats(m):
-            out = np.empty((n, m))
-            for x, y in zip(xs, out):
-                step(x, y)
-            return out
-        if m == 1:
-            return np.array([step(x) for x in xs[:, 0].tolist()]).reshape(n, 1)
-        return np.array([step(x) for x in xs.tolist()]).reshape(n, m)
+        rows = xs if not steps_on_floats(m) else xs[:, 0].tolist() if m == 1 else xs.tolist()
+        return np.array([step(x) for x in rows]).reshape(n, m)
 
     @abc.abstractmethod
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -179,11 +172,7 @@ class Constant(ContractionSpec):
     def _step(self):
         c = self.c
         if not steps_on_floats(c.size):
-
-            def step(x, out):
-                out[...] = c
-
-            return step
+            return lambda x: c
         values = c.tolist()
         if c.size == 1:
             c0 = values[0]
@@ -240,17 +229,17 @@ def _matvec_rounding_bound(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.n
 
 
 def _matvec_plus_step(a: np.ndarray, b: np.ndarray):
-    """A ``step(x, out)`` that writes ``a @ x + b`` without a temporary, bit
-    for bit from m = 3 on, where the engine steps on arrays: ``a.dot`` into
-    ``out`` calls the same gemv as the matmul.  np.matmul into ``out`` costs
-    twice as much when ``x`` and ``out`` are rows of one buffer, as in the
-    engine.  The bound method skips np.dot's dispatch, and ``out`` is passed
-    by position, which numpy parses faster than the keyword."""
+    """x -> ``a @ x + b`` on a float64 array, bit for bit from m = 3 on,
+    where maps step on arrays: ``a.dot`` calls the same gemv as the matmul,
+    and b is added into its fresh output, with no second temporary.  The
+    bound method skips np.dot's dispatch, and the output is passed by
+    position, which numpy parses faster than the keyword."""
     dot, add = a.dot, np.add
 
-    def step(x, out):
-        dot(x, out)
-        add(out, b, out)
+    def step(x):
+        y = dot(x)
+        add(y, b, y)
+        return y
 
     return step
 

@@ -30,10 +30,6 @@ DEFAULT_MAX_ITERATIONS = 1_000_000
 # ill-conditioned and runs carry a warning.
 CONDITIONING_GAP = 1e-6
 
-# Rows of the first trace buffer of an APosteriori run at m >= 3; it
-# doubles when full.
-INITIAL_ROWS = 64
-
 # An APosteriori run takes its steps in blocks of STOP_BLOCK and tests each
 # block's steps with one batched norm call; a stop discards at most
 # STOP_BLOCK - 1 computed steps.  Summed over the benchmark's seed-1
@@ -229,13 +225,6 @@ def a_priori_iterations(d: float, lam: float, eps: float) -> int:
     return n
 
 
-def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
-    """``buffer`` copied into one of twice its rows (at most ``limit``)."""
-    out = np.empty((min(2 * buffer.shape[0], limit),) + buffer.shape[1:])
-    out[: buffer.shape[0]] = buffer
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def first_step(spec: ContractionSpec, x0: np.ndarray) -> float:
     """The first step norm d = ||f(x^0) - x^0|| at a validated x0: the one
@@ -268,24 +257,32 @@ def _first_stop(rows: np.ndarray, stop_factor: float, eps: float) -> int | None:
     return k
 
 
-def _iterate_on_floats(step, x0: np.ndarray, last: int, lam: float, d: float,
-                       stop_factor: float | None, eps: float | None):
-    """Steps 1..``last`` of the pair iteration on Python floats, from the
-    array ``x0`` of m coordinates (:func:`steps_on_floats`), tested as
-    :func:`_blocks` says.  ``step`` takes x^n, a float at m = 1 and else a
-    list, to x^{n+1}.
+def _iterate(step, x0: np.ndarray, last: int, lam: float, d: float,
+             stop_factor: float | None, eps: float | None):
+    """Steps 1..``last`` of the pair iteration from the array ``x0``,
+    tested as :func:`_blocks` says.  ``step`` takes x^n in its step form to
+    x^{n+1}: a float at m = 1, a list of m floats at m = 2
+    (:func:`steps_on_floats`), a float64 array from m = 3 on.
     The rows go into growing arrays of doubles, which the caller views as
     numpy arrays without a copy: the coordinates of x^0, x^1, ... in one
     flat array, and t^0, t^1, ... in another.  A list would hold a 24-byte
     Python float and an 8-byte pointer per value, four times the 8 bytes
-    here, until the end of the run.  From m = 2 on the step returns a
-    list, which ``fromlist`` copies in faster than ``extend`` copies a
-    tuple.
+    here, until the end of the run.  ``fromlist`` copies a list in faster
+    than ``extend`` copies a tuple, and ``frombytes`` of ``tobytes`` copies
+    an array in faster than of its cast memoryview.  The stop test reads
+    a block through a view of the array, which must be gone before the
+    next append: an array cannot resize while it exports its buffer.
     Returns both arrays and the step that passed the test, or None; they
     may run past that step by up to ``STOP_BLOCK - 1`` rows."""
     m, xs, ts, t = x0.size, array("d", x0.tolist()), array("d", [0.0]), 0.0
-    x = xs[0] if m == 1 else xs.tolist()
-    put, put_t = xs.append if m == 1 else xs.fromlist, ts.append
+    if not steps_on_floats(m):
+        x, frombytes = x0, xs.frombytes
+        put = lambda y: frombytes(y.tobytes())
+    elif m == 1:
+        x, put = xs[0], xs.append
+    else:
+        x, put = xs.tolist(), xs.fromlist
+    put_t = ts.append
     for start, end in _blocks(last, stop_factor):
         for _ in range(start, end + 1):
             t = lam * t + d
@@ -293,31 +290,9 @@ def _iterate_on_floats(step, x0: np.ndarray, last: int, lam: float, d: float,
             x = step(x)
             put(x)
         if stop_factor is not None:
-            k = _first_stop(np.array(xs[(start - 1) * m :]).reshape(-1, m), stop_factor, eps)
-            if k is not None:
-                return xs, ts, start + k
-    return xs, ts, None
-
-
-def _iterate_on_arrays(step, xs: np.ndarray, ts: np.ndarray, last: int, lam: float,
-                       d: float, stop_factor: float | None, eps: float | None):
-    """Steps 1..``last`` of the pair iteration on float64 arrays, from row 0
-    of the buffers ``xs`` and ``ts``, which double (up to last + 1 rows)
-    when full, tested as :func:`_blocks` says.  ``step`` writes x^{n+1} into
-    row n+1, and x^n is a view of row n.  Returns the buffers and the step
-    that passed the test, or None; the buffers may hold up to
-    ``STOP_BLOCK - 1`` computed rows past that step."""
-    x, t = xs[0], 0.0
-    for start, end in _blocks(last, stop_factor):
-        while end >= xs.shape[0]:
-            xs, ts = _grown(xs, last + 1), _grown(ts, last + 1)
-        for n in range(start, end + 1):
-            t = lam * t + d
-            ts[n] = t
-            step(x, xs[n])
-            x = xs[n]
-        if stop_factor is not None:
-            k = _first_stop(xs[start - 1 : end + 1], stop_factor, eps)
+            rows = np.frombuffer(xs, offset=(start - 1) * m * xs.itemsize).reshape(-1, m)
+            k = _first_stop(rows, stop_factor, eps)
+            del rows
             if k is not None:
                 return xs, ts, start + k
     return xs, ts, None
@@ -331,25 +306,22 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     checked for finiteness as a whole by :class:`IterationTrace`.  The first
     step norm d is computed once and then frozen into the scalar recurrence;
     a d whose limit t* = d / (1 - lam) overflows is refused before any step.
-    The loop calls the family's ``_step``, the map's one float definition,
-    bound once per run.  At m <= 2 (:func:`steps_on_floats`) it iterates
-    on Python floats, in one loop that appends the rows to arrays of
-    doubles and views them as the trace's arrays at the end; no BLAS call
-    reaches such a trace.  From m = 3 on it iterates on float64 arrays,
-    and the step writes f(x^n) straight into row n+1 of the trace buffer.  The rule only sets where the loop ends:
-    when the step count N is known in advance (``APriori``, ``FixedCount``,
-    or N = 0 at an exact fixed point) no step norm is computed, and the
-    (N+1)-row buffers of an array run are allocated once.  ``APosteriori``
-    (whose array buffers start smaller and double when full) tests its
-    steps in blocks of :data:`STOP_BLOCK`, one batched call per block with
-    :func:`norm`'s bits, on floats and arrays alike: it stops exactly where
-    a test on every step's norm would, and drops the at most
-    ``STOP_BLOCK - 1`` steps it computed past the stop.  A run that exhausts
-    its ``max_iterations`` guard is returned truncated and flagged
-    MAX_ITERATIONS rather than raising, so the partial trace is never lost.
-    An overflowing map raises only the trace's non-finite-row error, or
-    under ``APosteriori`` the step norm's, unless it overflows only at a
-    dropped step.
+    One loop calls the family's ``_step``, the map's one float definition,
+    bound once per run, on x^n in its step form: Python floats at m <= 2
+    (:func:`steps_on_floats`), so no BLAS call reaches such a trace, and
+    float64 arrays from m = 3 on.  It appends each f(x^n) to arrays of
+    doubles and views them as the trace's arrays at the end.  The rule only
+    sets where the loop ends: when the step count N is known in advance
+    (``APriori``, ``FixedCount``, or N = 0 at an exact fixed point) no step
+    norm is computed.  ``APosteriori`` tests its steps in blocks of
+    :data:`STOP_BLOCK`, one batched call per block with :func:`norm`'s
+    bits: it stops exactly where a test on every step's norm would, and
+    drops the at most ``STOP_BLOCK - 1`` steps it computed past the stop.
+    A run that exhausts its ``max_iterations`` guard is returned truncated
+    and flagged MAX_ITERATIONS rather than raising, so the partial trace is
+    never lost.  An overflowing map raises only the trace's non-finite-row
+    error, or under ``APosteriori`` the step norm's, unless it overflows
+    only at a dropped step.
     """
     x0 = as_vector(x0)
     if x0.size != spec.dimension:
@@ -383,22 +355,13 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     elif steps is not None and steps > rule.max_iterations:
         steps, reason = rule.max_iterations, StopReason.MAX_ITERATIONS
 
-    lam, step, m = spec.lam, spec._step(), x0.size
+    lam = spec.lam
     if steps is None:
         last, stop_factor, eps = rule.max_iterations, lam / gap, rule.eps
     else:
         last, stop_factor, eps = steps, None, None
-    if steps_on_floats(m):
-        xs, ts, n = _iterate_on_floats(step, x0, last, lam, d, stop_factor, eps)
-        xs, ts = np.frombuffer(xs).reshape(-1, m), np.frombuffer(ts)
-    else:
-        # The map writes each row straight into the buffer.  Keeping the
-        # outputs in a list, to stack them once at the end, made
-        # wide_affine's m = 300 operations about 15 % slower.
-        rows = steps + 1 if steps is not None else min(INITIAL_ROWS, last + 1)
-        xs, ts = np.empty((rows, m)), np.empty(rows)
-        xs[0], ts[0] = x0, 0.0
-        xs, ts, n = _iterate_on_arrays(step, xs, ts, last, lam, d, stop_factor, eps)
+    xs, ts, n = _iterate(spec._step(), x0, last, lam, d, stop_factor, eps)
+    xs, ts = np.frombuffer(xs).reshape(-1, x0.size), np.frombuffer(ts)
     if n is None:
         n = last
         if stop_factor is not None:

@@ -196,7 +196,8 @@ def _require(obj: dict, key: str, where: str):
 
 def _require_numbers(value, field: str):
     """Return a JSON number or nested lists of them, refusing anything else:
-    a string or a boolean would otherwise pass ``float()`` as a number."""
+    a string or a boolean would otherwise pass ``float()`` as a number, and
+    an integer too large for a float would raise ``OverflowError`` there."""
     pending = [value]
     while pending:
         v = pending.pop()
@@ -204,6 +205,11 @@ def _require_numbers(value, field: str):
             pending.extend(v)
         elif isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ProblemFileError(f"{field} must hold JSON numbers, got {v!r}")
+        elif isinstance(v, int):
+            try:
+                float(v)
+            except OverflowError:
+                raise ProblemFileError(f"{field} holds an integer too large for a float") from None
     return value
 
 
@@ -262,6 +268,7 @@ def problem_from_dict(obj: dict):
     eps = run_params.get("eps", 1.0)
     if isinstance(eps, bool) or not (isinstance(eps, (int, float)) and eps > 0):
         raise ProblemFileError("eps must be a positive number")
+    _require_numbers(eps, "eps")
     for key in ("max_iterations", "seed"):
         if key in run_params and (
             not isinstance(run_params[key], int) or isinstance(run_params[key], bool)

@@ -435,6 +435,46 @@ class TestProblemFiles:
         assert message in capsys.readouterr().err
         assert not (in_tmp / "cert.json").exists()
 
+    @pytest.mark.parametrize("field,command", [
+        (field, command)
+        for field in ["lambda", "x0", "A", "b", "c", "e", "M", "theta", "scale", "eps"]
+        for command in ["solve", "certify", "omega"]
+        if not (field == "eps" and command == "omega")  # omega reads no eps
+    ])
+    def test_integer_too_large_for_a_float_is_usage_error(self, in_tmp, capsys, field, command):
+        # json reads 1 followed by 400 zeros as an int, which float() refuses
+        huge = 10**400
+        maps = {
+            "A": {"kind": "affine", "A": [[huge]], "b": [1.0]},
+            "b": {"kind": "affine", "A": [[0.5]], "b": [huge]},
+            "c": {"kind": "constant", "c": [huge]},
+            "e": {"kind": "kepler", "e": huge, "M": 1.0},
+            "M": {"kind": "kepler", "e": 0.5, "M": huge},
+            "theta": {"kind": "scaled_rotation", "theta": huge, "scale": 0.5, "b": [1.0, 0.0]},
+            "scale": {"kind": "scaled_rotation", "theta": 0.5, "scale": huge, "b": [1.0, 0.0]},
+        }
+        map_obj = maps.get(field, {"kind": "affine", "A": [[0.5]], "b": [1.0]})
+        m = 2 if map_obj["kind"] == "scaled_rotation" else 1
+        top = {"lambda": {"lambda": huge}, "x0": {"x0": [huge]}, "eps": {"eps": huge}}.get(field, {})
+        path = self.write_problem(in_tmp, {"dimension": m, "lambda": 0.9, "map": map_obj,
+                                           "x0": [0.0] * m, **top})
+        args = ["--x", ",".join(["0"] * m), "--t", "1"] if command == "omega" else ["--out", "out"]
+        assert main([command, "--problem", path, *args]) == 2
+        name = f"{field} in map" if field in maps else field
+        assert capsys.readouterr().err == f"error: {name} holds an integer too large for a float\n"
+        assert not (in_tmp / "out").exists()
+
+    @pytest.mark.parametrize("key", ["max_iterations", "seed"])
+    def test_integer_too_large_for_a_float_is_a_valid_count(self, in_tmp, key):
+        path = self.write_problem(in_tmp, {
+            "dimension": 1,
+            "lambda": 0.5,
+            "map": {"kind": "affine", "A": [[0.5]], "b": [1.0]},
+            "x0": [0.0],
+            key: 10**400,
+        })
+        assert main(["certify", "--problem", path, "--out", "cert.json"]) == 0
+
     def test_overflowing_sampling_radius_is_usage_error(self, in_tmp, capsys):
         # t* = 2e307, so the witnesses' sampling radius 10 t* overflows
         path = self.write_problem(in_tmp, {

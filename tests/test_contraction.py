@@ -290,10 +290,10 @@ class TestStepper:
     @pytest.mark.parametrize("m", [2, 3, 8, 300])
     def test_same_bits_as_apply(self, m):
         # The engine's loop takes f(x^n) from the step bound once per run:
-        # at m = 2 as a pair of floats, from m = 3 on written into row n+1 of
-        # its buffer, x^n being row n.  The bits must be those of the map's
-        # written-out definition, the sign of a zero, an overflow to inf and
-        # a NaN included, whatever the row held.
+        # at m = 2 it takes a pair of floats, from m = 3 on a float64 array.
+        # The bits must be those of the map's written-out definition, the
+        # sign of a zero, an overflow to inf and a NaN included; the step
+        # must leave x as it was and return an array of its own.
         rng = np.random.default_rng(m)
         with np.errstate(over="ignore", invalid="ignore"):
             for spec in _stepper_specs(m, rng):
@@ -303,11 +303,11 @@ class TestStepper:
                         y = np.array(step(x.tolist()))
                         assert y.tobytes() == _definition(spec, x).tobytes(), (spec, x)
                         continue
-                    rows = np.full((2, m), np.nan)
-                    rows[0] = x
-                    step(rows[0], rows[1])
-                    assert rows[1].tobytes() == _definition(spec, x).tobytes(), (spec, x)
-                    assert rows[0].tobytes() == x.tobytes()
+                    before = x.tobytes()
+                    y = step(x)
+                    assert y.tobytes() == _definition(spec, x).tobytes(), (spec, x)
+                    assert x.tobytes() == before
+                    assert not np.shares_memory(y, x)
 
     def test_one_by_one_affine_keeps_the_matmul_zero(self):
         # np.dot at 1x1 would give -0 where the matmul's sum gives +0

@@ -33,7 +33,7 @@ from cone_fixpoint import (
     t_closed_form,
     verify_certificate,
 )
-from cone_fixpoint.engine import INITIAL_ROWS, STOP_BLOCK
+from cone_fixpoint.engine import STOP_BLOCK
 from test_acceptance import random_affine_instances
 
 AFFINE = Affine(a=[[0.5]], b=[1.0], lam=0.5)
@@ -432,9 +432,11 @@ DIMENSIONS = [1, 2, 7, 8, 300]
 # Steps to stop at: early ones, and those at and next to the ends of the
 # first two blocks of an a-posteriori run.
 STOP_STEPS = [1, 2, 9, 25, STOP_BLOCK - 1, STOP_BLOCK, STOP_BLOCK + 1, 2 * STOP_BLOCK]
-# max_iterations guards at and next to block and buffer ends
+# max_iterations guards at and next to block ends, and at and next to
+# 64 and 129 rows, where a trace buffer of 64 rows that doubled when full
+# ran out
 GUARDS = sorted({2, STOP_BLOCK - 1, STOP_BLOCK, STOP_BLOCK + 1, 2 * STOP_BLOCK,
-                 INITIAL_ROWS - 1, INITIAL_ROWS, INITIAL_ROWS + 1, 2 * INITIAL_ROWS + 1})
+                 63, 64, 65, 129})
 
 
 # One-dimensional maps of every family, which the engine iterates on
@@ -531,17 +533,22 @@ class TestSameBitsAsListLoop:
             (ScaledRotation(theta=0.5, scale=0.5, b=[1e308, 0.0], lam=0.95), [0.0, 0.0]),
             (Constant(c=[-0.0, 5e-324], lam=0.4), [1.0, -0.0]),
             (Constant(c=[1.5, -2.0], lam=0.4), [0.0, 0.0]),
-            # from m = 3 on a constant map writes its rows into the buffer
+            # from m = 3 on a constant map's step returns c itself, which
+            # neither the trace nor evaluate may hand out
             (Constant(c=[-0.0, 5e-324, 1.5], lam=0.4), [1.0, -0.0, 0.0]),
             (Constant(c=[1.5, -2.0, 1e308], lam=0.4), [0.0, 0.0, 0.0]),
         ]
         for spec, x0 in problems:
             _assert_same_outcome(spec, x0, rule)
+            if isinstance(spec, Constant) and spec.dimension == 3:
+                assert not np.shares_memory(run(spec, x0, rule).xs, spec.c)
+                y = evaluate(spec, x0)
+                assert y is not spec.c and not np.shares_memory(y, spec.c)
 
     @pytest.mark.parametrize("max_iterations", [63, 64, 65, 129, 300])
     def test_in_place_rows_past_buffer_growth(self, max_iterations):
         # the rotation steps on floats; affine maps of every width, on
-        # floats and in place, are taken by test_max_iterations_past_buffer_growth
+        # floats and on arrays, are taken by test_max_iterations_past_buffer_growth
         rule = APosteriori(1e-300, max_iterations=max_iterations)
         spec = ScaledRotation(theta=0.3, scale=-0.99, b=[1.0, 2.0], lam=0.995)
         _assert_same_as_reference(spec, [0.0, 0.0], rule)
@@ -625,7 +632,7 @@ class TestSameBitsAsListLoop:
         rotation = np.linalg.qr(rng.standard_normal((m, m)))[0]
         spec = Affine(a=0.99 * rotation, b=rng.standard_normal(m), lam=0.995)
         x0 = rng.standard_normal(m)
-        values = _stop_values(spec, x0, 2 * INITIAL_ROWS + 1)
+        values = _stop_values(spec, x0, 129)
         for max_iterations in GUARDS:
             for eps in (1e-300, values[max_iterations - 1], values[max_iterations - 2]):
                 _assert_same_as_reference(spec, x0, APosteriori(eps, max_iterations=max_iterations))
