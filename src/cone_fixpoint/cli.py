@@ -228,6 +228,10 @@ def main(argv=None) -> int:
     except (ConeFixpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # an input too large to hold, such as --omega-samples 10^11
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ which the engine binds once per run; ``_apply_batch``, the verifier's
 batched recomputation; ``_rounding_bound``, a rigorous bound on an
 evaluation's rounding error; ``true_factor``; and a
 ``reference_fixed_point`` computed without Picard iteration.
-:data:`FAMILIES` maps kinds to classes.
+:data:`FAMILIES` maps kinds to classes.  ``Affine`` and
+``ScaledRotation`` take their arithmetic from one private base, which
+holds the linear part; :func:`step_form` and :func:`appender` are the two
+conversions of the step form, so no other module knows it.
 The families:
 
 * ``Constant``        f(x) = c                   (true factor 0)
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -72,8 +76,30 @@ SIN_ULPS = 2
 def steps_on_floats(m: int) -> bool:
     """Whether maps on R^m step on Python floats, m <= 2, rather than on
     float64 arrays: the one place that sets the width, for every family's
-    :meth:`ContractionSpec._step` and for the engine's loop."""
+    :meth:`ContractionSpec._step`, :func:`step_form` and :func:`appender`."""
     return m <= 2
+
+
+def step_form(x: np.ndarray):
+    """The float64 vector ``x`` in the form a step takes it
+    (:meth:`ContractionSpec._step`): a float at m = 1, a list of m floats
+    at m = 2 and ``x`` itself from m = 3 on."""
+    if not steps_on_floats(x.size):
+        return x
+    values = x.tolist()
+    return values[0] if x.size == 1 else values
+
+
+def appender(rows: array, m: int):
+    """The function that appends a step's value on R^m, in its step form,
+    to the flat ``array("d")`` ``rows``, copying it: ``rows.append`` at
+    m = 1, ``rows.fromlist`` at m = 2, and from m = 3 on ``frombytes`` of
+    the array's ``tobytes``, which copies an array in faster than of its
+    cast memoryview."""
+    if steps_on_floats(m):
+        return rows.append if m == 1 else rows.fromlist
+    frombytes = rows.frombytes
+    return lambda y: frombytes(y.tobytes())
 
 
 def _check_lambda(lam: float) -> float:
@@ -108,22 +134,23 @@ class ContractionSpec(abc.ABC):
     @abc.abstractmethod
     def _step(self):
         """The map's one float definition, which the engine binds once per
-        run: a pure function x -> f(x) on x in its step form, a float at
-        m = 1, a list of m floats at m = 2 (:func:`steps_on_floats`) and a
-        float64 array from m = 3 on.  It returns a new value of the same
-        form and never writes into x; from m = 3 on it may return an array
-        the map holds (``Constant``'s c), so every caller copies it."""
+        run: a pure function x -> f(x) on x in its step form
+        (:func:`step_form`), a float at m = 1, a list of m floats at m = 2
+        and a float64 array from m = 3 on.  It returns a value of the same
+        form and never writes into x.  The value may be one the map holds
+        (``Constant``'s c in step form), so every caller copies it: into
+        the trace through :func:`appender`, or into a new array."""
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the map on a validated point: :meth:`_step` on it."""
-        return self._apply_rows(x[None])[0]
+        """Evaluate the map on a validated point: :meth:`_step` on its step
+        form, copied into a new array."""
+        return np.array(self._step()(step_form(x))).reshape(x.shape)
 
     def _apply_rows(self, xs: np.ndarray) -> np.ndarray:
         """:meth:`_apply` on each row of an (n, m) array, with
         :meth:`_step` bound once, into a new array."""
-        step, (n, m) = self._step(), xs.shape
-        rows = xs if not steps_on_floats(m) else xs[:, 0].tolist() if m == 1 else xs.tolist()
-        return np.array([step(x) for x in rows]).reshape(n, m)
+        step = self._step()
+        return np.array([step(step_form(x)) for x in xs]).reshape(xs.shape)
 
     @abc.abstractmethod
     def _apply_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -158,26 +185,22 @@ class Constant(ContractionSpec):
 
     c: np.ndarray
     lam: float
+    _value: float | list[float] | np.ndarray = field(init=False, repr=False, compare=False)
     kind = "constant"
     file_keys = (("c", "c"),)
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_vector(self.c))
         object.__setattr__(self, "lam", _check_lambda(self.lam))
+        object.__setattr__(self, "_value", step_form(self.c))
 
     @property
     def dimension(self) -> int:
         return self.c.size
 
     def _step(self):
-        c = self.c
-        if not steps_on_floats(c.size):
-            return lambda x: c
-        values = c.tolist()
-        if c.size == 1:
-            c0 = values[0]
-            return lambda x: c0
-        return lambda x: values.copy()
+        value = self._value
+        return lambda x: value
 
     def _apply_batch(self, xs):
         return np.broadcast_to(self.c, xs.shape).copy()
@@ -190,10 +213,6 @@ class Constant(ContractionSpec):
 
     def reference_fixed_point(self) -> np.ndarray:
         return self.c.copy()
-
-
-def _solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(np.eye(b.size) - a, b)
 
 
 # The rounding bound of f(x) = A x + b at a point x, for any evaluation that
@@ -244,21 +263,16 @@ def _matvec_plus_step(a: np.ndarray, b: np.ndarray):
     return step
 
 
-def _float_coefficients(a: np.ndarray, b: np.ndarray) -> tuple[float, ...] | None:
-    """The entries of ``a``, row by row, then of ``b``, as Python floats
-    where x -> a x + b steps on floats (:func:`steps_on_floats`); else None."""
-    return tuple(a.ravel().tolist() + b.tolist()) if steps_on_floats(b.size) else None
-
-
 def _float_affine_step(coefficients: tuple[float, ...]):
-    """x -> A x + b at m <= 2 from :func:`_float_coefficients`: at m = 1 on
-    a float, at m = 2 on a pair, returning a list.  Each component is
+    """x -> A x + b at m <= 2 from its float coefficients
+    (:meth:`_AffineMap._set_linear`): at m = 1 on a float, at m = 2 on a
+    pair, returning a list.  Each component is
     written out, ``((0 + a_i0 x_0) + a_i1 x_1) + b_i``, in separate,
     correctly rounded operations: no BLAS call and no fused multiply-add.
     The sum starts from +0, as a matmul's does: a product of -0 then gives
     +0, and +0 + b = +0 where -0 + b = -0 at b = -0.  Given numpy columns
     in place of floats, the same function computes the same bits on each
-    row, which is how :meth:`Affine._apply_batch` uses it."""
+    row, which is how :meth:`_AffineMap._apply_batch` uses it."""
     if len(coefficients) == 2:
         a0, b0 = coefficients
         return lambda x: (0.0 + a0 * x) + b0
@@ -282,8 +296,64 @@ def _float_affine_batch(coefficients: tuple[float, ...], xs: np.ndarray) -> np.n
     return np.column_stack(step((xs[:, 0], xs[:, 1])))
 
 
+def _aligned_read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of the contiguous float64 matrix ``a``, in its
+    memory order (gemv's bits depend on it), whose data start on a
+    64-byte boundary: a view into a slightly larger ``np.empty``.  Where
+    malloc puts a matrix is heap luck, and OpenBLAS's gemv runs 25-36 %
+    slower on a matrix that starts 16 or 48 bytes past such a boundary
+    than at 0 or 32 (m = 100-300, one thread, SkylakeX and Haswell
+    kernels); the bits do not depend on the offset."""
+    buffer = np.empty(a.size + 7)
+    start = -buffer.ctypes.data % 64 // buffer.itemsize
+    aligned = buffer[start:start + a.size].reshape(a.shape, order="F" if np.isfortran(a) else "C")
+    aligned[...] = a
+    aligned.setflags(write=False)
+    return aligned
+
+
 @dataclass(frozen=True)
-class Affine(ContractionSpec):
+class _AffineMap(ContractionSpec):
+    """The arithmetic of a family f(x) = L x + b: the subclass builds its
+    linear part L once, at construction, with :meth:`_set_linear`, and
+    this class steps, batches, bounds and solves it."""
+
+    _linear: np.ndarray = field(init=False, repr=False, compare=False)
+    _coefficients: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
+
+    def _set_linear(self, linear: np.ndarray):
+        """Hold a read-only, 64-byte aligned copy of ``linear`` as L, and as
+        the float coefficients the entries of L, row by row, then of b, as
+        Python floats where the map steps on floats
+        (:func:`steps_on_floats`); else None."""
+        linear = _aligned_read_only(linear)
+        object.__setattr__(self, "_linear", linear)
+        object.__setattr__(self, "_coefficients", tuple(linear.ravel().tolist() + self.b.tolist())
+                           if steps_on_floats(self.b.size) else None)
+
+    @property
+    def dimension(self) -> int:
+        return self.b.size
+
+    def _step(self):
+        if self._coefficients is None:
+            return _matvec_plus_step(self._linear, self.b)
+        return _float_affine_step(self._coefficients)
+
+    def _apply_batch(self, xs):
+        if self._coefficients is None:
+            return xs @ self._linear.T + self.b
+        return _float_affine_batch(self._coefficients, xs)
+
+    def _rounding_bound(self, xs):
+        return _matvec_rounding_bound(self._linear, self.b, xs)
+
+    def reference_fixed_point(self) -> np.ndarray:
+        return np.linalg.solve(np.eye(self.b.size) - self._linear, self.b)
+
+
+@dataclass(frozen=True)
+class Affine(_AffineMap):
     """f(x) = A x + b.  The spectral norm of A must not exceed lam.
 
     The spectral-norm bound is expensive, so it is established by
@@ -293,7 +363,6 @@ class Affine(ContractionSpec):
     a: np.ndarray
     b: np.ndarray
     lam: float
-    _coefficients: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
     kind = "affine"
     file_keys = (("A", "a"), ("b", "b"))
 
@@ -303,32 +372,14 @@ class Affine(ContractionSpec):
             raise InvalidSpecError(f"A must be a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidSpecError("A must have finite entries")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", as_vector(self.b))
         object.__setattr__(self, "lam", _check_lambda(self.lam))
         if self.b.size != a.shape[0]:
             raise InvalidSpecError(
                 f"b has dimension {self.b.size} but A is {a.shape[0]}x{a.shape[1]}"
             )
-        object.__setattr__(self, "_coefficients", _float_coefficients(a, self.b))
-
-    @property
-    def dimension(self) -> int:
-        return self.b.size
-
-    def _step(self):
-        if self._coefficients is None:
-            return _matvec_plus_step(self.a, self.b)
-        return _float_affine_step(self._coefficients)
-
-    def _apply_batch(self, xs):
-        if self._coefficients is None:
-            return xs @ self.a.T + self.b
-        return _float_affine_batch(self._coefficients, xs)
-
-    def _rounding_bound(self, xs):
-        return _matvec_rounding_bound(self.a, self.b, xs)
+        self._set_linear(a)
+        object.__setattr__(self, "a", self._linear)
 
     def true_factor(self) -> float:
         return spectral_norm(self.a)
@@ -336,20 +387,15 @@ class Affine(ContractionSpec):
     def _factor_proven_at_most(self, bound: float) -> bool:
         return _cholesky_proves_norm_at_most(self.a, bound)
 
-    def reference_fixed_point(self) -> np.ndarray:
-        return _solve_linear(self.a, self.b)
-
 
 @dataclass(frozen=True)
-class ScaledRotation(ContractionSpec):
+class ScaledRotation(_AffineMap):
     """f(x) = scale * R(theta) x + b on R^2; |scale| is the exact factor."""
 
     theta: float
     scale: float
     b: np.ndarray
     lam: float
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _coefficients: tuple[float, ...] = field(init=False, repr=False, compare=False)
     kind = "scaled_rotation"
     file_keys = (("theta", "theta"), ("scale", "scale"), ("b", "b"))
 
@@ -369,34 +415,15 @@ class ScaledRotation(ContractionSpec):
                 true_factor=abs(self.scale),
             )
         c, s = math.cos(self.theta), math.sin(self.theta)
-        matrix = self.scale * np.array([[c, -s], [s, c]])
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_coefficients", _float_coefficients(matrix, self.b))
-
-    @property
-    def dimension(self) -> int:
-        return 2
+        self._set_linear(self.scale * np.array([[c, -s], [s, c]]))
 
     @property
     def matrix(self) -> np.ndarray:
         """scale * R(theta), built once at construction (read-only)."""
-        return self._matrix
-
-    def _step(self):
-        return _float_affine_step(self._coefficients)
-
-    def _apply_batch(self, xs):
-        return _float_affine_batch(self._coefficients, xs)
-
-    def _rounding_bound(self, xs):
-        return _matvec_rounding_bound(self._matrix, self.b, xs)
+        return self._linear
 
     def true_factor(self) -> float:
         return abs(self.scale)
-
-    def reference_fixed_point(self) -> np.ndarray:
-        return _solve_linear(self._matrix, self.b)
 
 
 def _bisect_kepler(e: float, mean_anomaly: float) -> float:

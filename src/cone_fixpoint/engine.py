@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cone import NON_FINITE_NORM, AugmentedPoint, as_vector, norm, row_norms
-from .contraction import ContractionSpec, evaluate, steps_on_floats
+from .contraction import ContractionSpec, appender, evaluate, step_form
 from .errors import DimensionMismatchError, InvalidInputError, check_integer
 
 DEFAULT_MAX_ITERATIONS = 1_000_000
@@ -261,28 +261,19 @@ def _iterate(step, x0: np.ndarray, last: int, lam: float, d: float,
              stop_factor: float | None, eps: float | None):
     """Steps 1..``last`` of the pair iteration from the array ``x0``,
     tested as :func:`_blocks` says.  ``step`` takes x^n in its step form to
-    x^{n+1}: a float at m = 1, a list of m floats at m = 2
-    (:func:`steps_on_floats`), a float64 array from m = 3 on.
-    The rows go into growing arrays of doubles, which the caller views as
-    numpy arrays without a copy: the coordinates of x^0, x^1, ... in one
-    flat array, and t^0, t^1, ... in another.  A list would hold a 24-byte
-    Python float and an 8-byte pointer per value, four times the 8 bytes
-    here, until the end of the run.  ``fromlist`` copies a list in faster
-    than ``extend`` copies a tuple, and ``frombytes`` of ``tobytes`` copies
-    an array in faster than of its cast memoryview.  The stop test reads
-    a block through a view of the array, which must be gone before the
-    next append: an array cannot resize while it exports its buffer.
+    x^{n+1}; the loop starts from :func:`step_form` of ``x0`` and copies
+    each x^{n+1} into the trace with :func:`appender`, so it never looks
+    at the width.  The rows go into growing arrays of doubles, which the
+    caller views as numpy arrays without a copy: the coordinates of x^0,
+    x^1, ... in one flat array, and t^0, t^1, ... in another.  A list
+    would hold a 24-byte Python float and an 8-byte pointer per value,
+    four times the 8 bytes here, until the end of the run.  The stop test
+    reads a block through a view of the array, which must be gone before
+    the next append: an array cannot resize while it exports its buffer.
     Returns both arrays and the step that passed the test, or None; they
     may run past that step by up to ``STOP_BLOCK - 1`` rows."""
     m, xs, ts, t = x0.size, array("d", x0.tolist()), array("d", [0.0]), 0.0
-    if not steps_on_floats(m):
-        x, frombytes = x0, xs.frombytes
-        put = lambda y: frombytes(y.tobytes())
-    elif m == 1:
-        x, put = xs[0], xs.append
-    else:
-        x, put = xs.tolist(), xs.fromlist
-    put_t = ts.append
+    x, put, put_t = step_form(x0), appender(xs, m), ts.append
     for start, end in _blocks(last, stop_factor):
         for _ in range(start, end + 1):
             t = lam * t + d
@@ -307,13 +298,13 @@ def run(spec: ContractionSpec, x0, rule: StoppingRule) -> IterationTrace:
     step norm d is computed once and then frozen into the scalar recurrence;
     a d whose limit t* = d / (1 - lam) overflows is refused before any step.
     One loop calls the family's ``_step``, the map's one float definition,
-    bound once per run, on x^n in its step form: Python floats at m <= 2
-    (:func:`steps_on_floats`), so no BLAS call reaches such a trace, and
-    float64 arrays from m = 3 on.  It appends each f(x^n) to arrays of
-    doubles and views them as the trace's arrays at the end.  The rule only
-    sets where the loop ends: when the step count N is known in advance
-    (``APriori``, ``FixedCount``, or N = 0 at an exact fixed point) no step
-    norm is computed.  ``APosteriori`` tests its steps in blocks of
+    bound once per run, on x^n in its step form, which the contraction
+    module sets: Python floats at m <= 2, so no BLAS call reaches such a
+    trace, and float64 arrays from m = 3 on.  It appends each f(x^n) to
+    arrays of doubles and views them as the trace's arrays at the end.
+    The rule only sets where the loop ends: when the step count N is
+    known in advance (``APriori``, ``FixedCount``, or N = 0 at an exact
+    fixed point) no step norm is computed.  ``APosteriori`` tests its steps in blocks of
     :data:`STOP_BLOCK`, one batched call per block with :func:`norm`'s
     bits: it stops exactly where a test on every step's norm would, and
     drops the at most ``STOP_BLOCK - 1`` steps it computed past the stop.

@@ -280,10 +280,13 @@ def problem_from_dict(obj: dict):
 
 
 def load_problem_file(path: str):
+    with _reading(path), open(path) as fh:
+        text = fh.read()
     try:
-        with _reading(path), open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past Python's digit limit, or nesting
+        # deeper than the recursion limit
         raise ProblemFileError(f"{path}: invalid JSON: {exc}") from exc
     return problem_from_dict(obj), obj
 

@@ -475,6 +475,35 @@ class TestProblemFiles:
         })
         assert main(["certify", "--problem", path, "--out", "cert.json"]) == 0
 
+    @pytest.mark.parametrize("field", ["seed", "max_iterations", "lambda", "x0", "b"])
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_integer_past_the_digit_limit_is_usage_error(self, in_tmp, capsys, field, command):
+        # json refuses to read an integer of more than 4300 digits (Python's
+        # int_max_str_digits) with a ValueError
+        problem = {"dimension": 1, "lambda": 0.5, "map": {"kind": "affine", "A": [[0.5]], "b": [1.0]},
+                   "x0": [0.0], "seed": 1, "max_iterations": 10}
+        if field == "b":
+            problem["map"]["b"] = ["HUGE"]
+        else:
+            problem[field] = ["HUGE"] if field == "x0" else "HUGE"
+        path = in_tmp / "problem.json"
+        path.write_text(json.dumps(problem).replace('"HUGE"', "1" + "0" * 5000))
+        assert main([command, "--problem", str(path), "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit") and err.count("\n") == 1
+        assert not (in_tmp / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_nesting_past_the_recursion_limit_is_usage_error(self, in_tmp, capsys, command):
+        # json raises a RecursionError; no .json suffix, which the autouse
+        # strict-JSON check would read and fail on the same way
+        path = in_tmp / "problem.deep"
+        path.write_text('{"dimension": 1, "lambda": 0.5, "x0": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main([command, "--problem", str(path), "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth") and err.count("\n") == 1
+        assert not (in_tmp / "out").exists()
+
     def test_overflowing_sampling_radius_is_usage_error(self, in_tmp, capsys):
         # t* = 2e307, so the witnesses' sampling radius 10 t* overflows
         path = self.write_problem(in_tmp, {
@@ -645,6 +674,20 @@ class TestProblemFiles:
 
 
 class TestUsage:
+    def test_out_of_memory_is_usage_error(self, in_tmp, monkeypatch, capsys):
+        # numpy raises a MemoryError where --omega-samples asks for more
+        # witnesses than memory holds; the stand-in allocates nothing
+        def out_of_memory(om, count, seed):
+            raise MemoryError(f"Unable to allocate an array with shape ({count}, 1)")
+
+        monkeypatch.setattr(certificate, "sample_omega", out_of_memory)
+        code = main(["certify", "--builtin", "KEPLER", "--omega-samples", "100000000000",
+                     "--out", "cert.json"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate an array with shape (100000000000, 1)\n")
+        assert not (in_tmp / "cert.json").exists()
+
     def test_no_source_given(self, in_tmp):
         assert main(["solve"]) == 2
 

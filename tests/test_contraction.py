@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_fixpoint import certificate, contraction
+from cone_fixpoint import certificate, contraction, engine
 from cone_fixpoint.contraction import _cholesky_proves_norm_at_most
+from cone_fixpoint.traceio import map_to_dict
 from cone_fixpoint import (
     Affine,
+    APosteriori,
+    APriori,
     Constant,
     ContractionSpec,
     DimensionMismatchError,
@@ -22,8 +25,11 @@ from cone_fixpoint import (
     evaluate,
     evaluate_batch,
     norm,
+    run,
+    sample_omega,
     spectral_norm,
     validate_contraction,
+    verify_certificate,
 )
 
 
@@ -287,27 +293,29 @@ def _stepper_specs(m, rng):
 
 
 class TestStepper:
-    @pytest.mark.parametrize("m", [2, 3, 8, 300])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 300])
     def test_same_bits_as_apply(self, m):
-        # The engine's loop takes f(x^n) from the step bound once per run:
-        # at m = 2 it takes a pair of floats, from m = 3 on a float64 array.
-        # The bits must be those of the map's written-out definition, the
-        # sign of a zero, an overflow to inf and a NaN included; the step
-        # must leave x as it was and return an array of its own.
+        # The engine's loop takes f(x^n) from the step bound once per run,
+        # on x^n in its step form: a float at m = 1, a list of floats at
+        # m = 2, a float64 array from m = 3 on.  The bits must be those of
+        # the map's written-out definition, the sign of a zero, an overflow
+        # to inf and a NaN included, and so must those of _apply, of
+        # _apply_rows and of the engine's row 1; the step must leave x as it
+        # was and, from m = 3 on, return an array of its own.
         rng = np.random.default_rng(m)
         with np.errstate(over="ignore", invalid="ignore"):
             for spec in _stepper_specs(m, rng):
                 step = spec._step()
                 for x in _edge_vectors(rng, m, 3 if m > 50 else 20):
-                    if m == 2:
-                        y = np.array(step(x.tolist()))
-                        assert y.tobytes() == _definition(spec, x).tobytes(), (spec, x)
-                        continue
-                    before = x.tobytes()
-                    y = step(x)
-                    assert y.tobytes() == _definition(spec, x).tobytes(), (spec, x)
+                    before, expected = x.tobytes(), _definition(spec, x).tobytes()
+                    y = step(contraction.step_form(x))
+                    assert np.array(y).tobytes() == expected, (spec, x)
                     assert x.tobytes() == before
-                    assert not np.shares_memory(y, x)
+                    if m > 2:
+                        assert not np.shares_memory(y, x)
+                    rows, _, _ = engine._iterate(step, x, 1, spec.lam, 0.0, None, None)
+                    for got in (spec._apply(x), spec._apply_rows(x[None])[0], np.frombuffer(rows)[m:]):
+                        assert got.tobytes() == expected, (spec, x)
 
     def test_one_by_one_affine_keeps_the_matmul_zero(self):
         # np.dot at 1x1 would give -0 where the matmul's sum gives +0
@@ -338,6 +346,61 @@ class TestSpecConstruction:
             Affine(a=[[0.5, 0.0]], b=[1.0], lam=0.5)
         with pytest.raises(InvalidSpecError):
             Affine(a=[[0.5, 0.0], [0.0, 0.5]], b=[1.0], lam=0.5)
+
+
+class TestAffineCore:
+    def test_rotation_is_not_an_affine_map(self):
+        # it serializes as its own kind, which a caller that tests
+        # isinstance(spec, Affine) first would lose
+        spec = rotation_spec()
+        assert not isinstance(spec, Affine)
+        assert map_to_dict(spec) == {"kind": "scaled_rotation", "theta": spec.theta,
+                                     "scale": 0.5, "b": [1.0, 0.0]}
+
+    @pytest.mark.parametrize("m", [3, 9, 100])
+    def test_matrix_is_read_only_and_aligned_wherever_it_was_given(self, m):
+        # gemv's speed depends on where the matrix starts, its bits must not
+        rng = np.random.default_rng(m)
+        a, b = rng.uniform(-0.9 / m, 0.9 / m, (m, m)), rng.uniform(-1.0, 1.0, m)
+        buffer = np.empty(m * m + 8)
+        traces = set()
+        for offset in range(8):
+            given = buffer[offset:offset + m * m].reshape(m, m)
+            given[...] = a
+            spec = Affine(a=given, b=b, lam=0.9)
+            assert spec.a.ctypes.data % 64 == 0 and not spec.a.flags.writeable
+            assert spec.a.tobytes() == a.tobytes()
+            trace = run(spec, np.ones(m), APosteriori(1e-12))
+            traces.add(trace.xs.tobytes() + trace.ts.tobytes())
+        assert {buffer[k:].ctypes.data % 64 for k in range(8)} == set(range(0, 64, 8))
+        assert len(traces) == 1
+        # a matrix in Fortran order keeps it, as the gemv that steps it does
+        fortran = Affine(a=np.asfortranarray(a), b=b, lam=0.9).a
+        assert fortran.flags.f_contiguous and fortran.ctypes.data % 64 == 0
+        assert not fortran.flags.writeable and fortran.tobytes("F") == np.asfortranarray(a).tobytes("F")
+
+
+class TestConstantStep:
+    def test_held_pair_is_never_returned_or_written(self):
+        # An m = 2 Constant's step returns the list the map holds, and
+        # every caller copies it: runs, evaluation, the verifier and Omega
+        # sampling leave it as it was, and no output is that list.
+        spec = Constant(c=[1.5, -2.0], lam=0.5)
+        held = spec._value
+        assert held == [1.5, -2.0] and spec._step()([0.0, 0.0]) is held
+        x0 = np.array([3.0, 4.0])
+        traces = [run(spec, x0, rule) for rule in (APriori(1e-9), APosteriori(1e-9))]
+        outputs = [evaluate(spec, x0), spec._apply(x0), spec._apply_rows(np.zeros((3, 2)))]
+        outputs += [trace.xs for trace in traces]
+        assert all(verify_certificate(trace).passed for trace in traces)
+        witnesses = sample_omega(certificate.OmegaSpec.for_problem(spec, x0), 4, 0)
+        assert len(witnesses) == 4 and held == [1.5, -2.0]
+        for out in outputs:
+            assert type(out) is np.ndarray
+            assert out.reshape(-1, 2)[-1].tolist() == [1.5, -2.0]
+            if out.flags.writeable:
+                out[...] = 9.0
+        assert spec._value is held and held == [1.5, -2.0]
 
 
 class TestScaledRotationMatrix:
